@@ -18,8 +18,9 @@ the gate are forbidden, the match count is maximized over allowed pairs
 and the total distance minimized among those matchings.
 """
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -45,6 +46,8 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.u, self.v, self.w, self.h)):
+            raise ValueError("box fields must be finite")
         if self.w <= 0 or self.h <= 0:
             raise ValueError("box width and height must be positive")
 
@@ -104,6 +107,25 @@ def box_distance(expected: Tuple[float, float], detected: BoundingBox) -> float:
     return float(np.hypot(du, dw))
 
 
+def _gated_costs(
+    expected: Sequence[Tuple[float, float]],
+    detections: Sequence[BoundingBox],
+    gate: float,
+    blocked: Collection[int],
+) -> np.ndarray:
+    """Track x detection matrix of box_distance values.
+
+    Entries farther apart than the gate, and every column in blocked,
+    hold FORBIDDEN_COST. Each entry is computed exactly as box_distance
+    computes it.
+    """
+    exp = np.array(expected, dtype=float)
+    det = np.array([(d.u, d.w) for d in detections], dtype=float)
+    dist = np.hypot(exp[:, 0:1] - det[:, 0], exp[:, 1:2] - det[:, 1])
+    allowed = (dist <= gate) & ~np.isin(np.arange(len(detections)), list(blocked))
+    return np.where(allowed, dist, FORBIDDEN_COST)
+
+
 def match_gnn(
     tracks: Sequence[Tuple[int, Tuple[float, float]]],
     detections: Sequence[BoundingBox],
@@ -134,14 +156,7 @@ def match_gnn(
             unmatched_detections=[i for i in range(len(detections)) if i not in blocked],
         )
 
-    cost = np.full((len(tracks), len(detections)), FORBIDDEN_COST)
-    for i, (_, exp) in enumerate(tracks):
-        for j, det in enumerate(detections):
-            if j in blocked:
-                continue
-            d = box_distance(exp, det)
-            if d <= gate:
-                cost[i, j] = d
+    cost = _gated_costs([exp for _, exp in tracks], detections, gate, blocked)
 
     rows, cols = linear_sum_assignment(cost)
     matches = []

@@ -203,6 +203,23 @@ def project(camera: CameraModel, point) -> np.ndarray:
     )
 
 
+def project_points(camera: CameraModel, points) -> np.ndarray:
+    """Row-wise pinhole projection of camera-frame points.
+
+    points has shape (..., 3); the result has shape (..., 2), each row
+    computed exactly as project() computes one point. Raises
+    NonPositiveDepthError when any point is at or behind the camera.
+    """
+    p = np.asarray(points, dtype=float)
+    z = p[..., 2]
+    if np.any(z <= MIN_PROJECTION_DEPTH):
+        raise NonPositiveDepthError("a point is at or behind the camera")
+    out = np.empty(p.shape[:-1] + (2,))
+    out[..., 0] = camera.fx * p[..., 0] / z + camera.cx
+    out[..., 1] = camera.fy * p[..., 1] / z + camera.cy
+    return out
+
+
 def ray_from_pixel(camera: CameraModel, pixel) -> np.ndarray:
     """Back-project a pixel to the camera-frame ray K^-1 [u, v, 1]^T.
 

@@ -26,7 +26,7 @@ FrameResult values are immutable snapshots.
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .errors import (
     NonMonotonicTimestampError,
     NonPositiveDepthError,
     NoUsableJointError,
-    SigmaPointFailureError,
     UninitializedSessionError,
 )
 from .geometry import (
@@ -51,7 +50,7 @@ from .geometry import (
     project,
 )
 from .prior import FullBodyObservation, PriorModel, construct_prior, init_from_best_joint
-from .ukf import TrackState, measurement_from_joints, predict, update
+from .ukf import TrackState, measurement_from_joints, predict_batch, update_batch
 
 
 class TrackStatus(Enum):
@@ -306,12 +305,11 @@ class TrackingSession:
             raise NonMonotonicTimestampError(
                 f"timestamp {frame.timestamp} does not advance past {self._last_t}"
             )
-        dt = None if self._last_t is None else frame.timestamp - self._last_t
-        self._last_t = frame.timestamp
-
+        last_t, self._last_t = self._last_t, frame.timestamp
         if self.target is None:
             return self._initialize_target(frame)
-        return self._track_frame(frame, dt)
+        # A target exists only after a first frame, so last_t is set.
+        return self._track_frame(frame, frame.timestamp - last_t)
 
     def _initialize_target(self, frame: Frame) -> FrameResult:
         detections = list(frame.detections)
@@ -391,14 +389,46 @@ class TrackingSession:
             return None
         return self._new_track(ankle, is_target=False, prior=default_prior)
 
-    def _track_frame(self, frame: Frame, dt: Optional[float]) -> FrameResult:
+    def _update_tracks(
+        self, measured: Dict[int, Tuple[np.ndarray, List[JointKind]]]
+    ) -> Set[int]:
+        """Update the tracks in measured (id -> (z, visible)) in one batch;
+        returns the ids updated. A track whose update fails, or whose
+        posterior is not finite, keeps its predicted state."""
+        if not measured:
+            return set()
+        tracks = [t for t in self._tracks if t.id in measured]
+        means, covs, errors = update_batch(
+            np.stack([t.state.s for t in tracks]),
+            np.stack([t.state.P for t in tracks]),
+            [measured[t.id] for t in tracks],
+            self.camera,
+            self.ground,
+            [t.prior for t in tracks],
+            self.config.ukf,
+        )
+        finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+        updated: Set[int] = set()
+        for track, s, p, error, ok in zip(tracks, means, covs, errors, finite):
+            if error is None and ok:
+                track.state = TrackState(s=s, P=p)
+                updated.add(track.id)
+        return updated
+
+    def _track_frame(self, frame: Frame, dt: float) -> FrameResult:
         detections = list(frame.detections)
         target = self.target
 
         active = [t for t in self._tracks if t.status is not TrackStatus.LOST]
-        if dt is not None and dt > 0:
-            for track in active:
-                track.state = predict(track.state, dt, self.config.ukf)
+        if active:
+            means, covs = predict_batch(
+                np.stack([t.state.s for t in active]),
+                np.stack([t.state.P for t in active]),
+                dt,
+                self.config.ukf,
+            )
+            for track, s, p in zip(active, means, covs):
+                track.state = TrackState(s=s, P=p)
 
         expected: List[Tuple[int, Tuple[float, float]]] = []
         missing_expectation: List[int] = []
@@ -430,25 +460,20 @@ class TrackingSession:
         matched_target_box: Optional[BoundingBox] = None
         missed_ids = set(assoc.unmatched_tracks) | set(missing_expectation)
 
+        measured: Dict[int, Tuple[np.ndarray, List[JointKind]]] = {}
+        for tid, j, _dist in assoc.matches:
+            joints = self._usable_joints(detections[j])
+            if joints:
+                measured[tid] = measurement_from_joints(joints)
+        updated = self._update_tracks(measured)
+
         for tid, j, _dist in assoc.matches:
             track = by_id[tid]
             detection = detections[j]
-            joints = self._usable_joints(detection)
-            updated = False
-            if joints:
-                z, kinds = measurement_from_joints(joints)
-                try:
-                    track.state = update(
-                        track.state, z, kinds, self.camera, self.ground,
-                        track.prior, self.config.ukf,
-                    )
-                    updated = True
-                except (BehindCameraError, SigmaPointFailureError):
-                    updated = False
             matches.append((tid, j))
             if track.is_target:
                 matched_target_box = detection.box
-            if updated:
+            if tid in updated:
                 track.misses = 0
                 track.consecutive_hits += 1
                 if (

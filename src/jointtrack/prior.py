@@ -27,6 +27,7 @@ from .errors import (
     DegenerateRayError,
     JointAtCameraHeightError,
     MissingJointError,
+    NonPositiveDepthError,
     NoUsableJointError,
     SolverDivergedError,
 )
@@ -36,6 +37,7 @@ from .geometry import (
     GroundPlane,
     JointKind,
     localize_from_joint,
+    project_points,
 )
 
 DEFAULT_HEIGHTS = (1.40, 0.95, 0.50)  # average adult neck/hip/knee, meters
@@ -112,17 +114,6 @@ class FullBodyObservation:
         object.__setattr__(self, "joints", frozen)
 
 
-def _project_rows(camera: CameraModel, points: np.ndarray) -> np.ndarray:
-    """Row-wise pinhole projection; rejects non-positive depths."""
-    z = points[:, 2]
-    if np.any(z <= 1e-9):
-        raise BehindCameraError("joint fell behind the camera during fitting")
-    out = np.empty((points.shape[0], 2))
-    out[:, 0] = camera.fx * points[:, 0] / z + camera.cx
-    out[:, 1] = camera.fy * points[:, 1] / z + camera.cy
-    return out
-
-
 def _residuals(
     params: np.ndarray,
     camera: CameraModel,
@@ -134,7 +125,7 @@ def _residuals(
     ankle = ground.to_camera(gx, gy)
     heights = np.array([h_neck, h_hip, h_knee, 0.0])
     joints = ankle[None, :] + heights[:, None] * ground.normal[None, :]
-    return (observed - _project_rows(camera, joints)).ravel()
+    return (observed - project_points(camera, joints)).ravel()
 
 
 def _residuals_and_jacobian(
@@ -148,7 +139,7 @@ def _residuals_and_jacobian(
     ankle = origin + gx * e1 + gy * e2
     heights = np.array([h_neck, h_hip, h_knee, 0.0])
     joints = ankle[None, :] + heights[:, None] * ground.normal[None, :]
-    projected = _project_rows(camera, joints)
+    projected = project_points(camera, joints)
     residuals = (observed - projected).ravel()
 
     jac = np.zeros((8, 5))
@@ -204,7 +195,7 @@ def construct_prior(
     def cost_of(p):
         try:
             r = _residuals(p, camera, ground, observed)
-        except BehindCameraError:
+        except NonPositiveDepthError:
             return None, np.inf
         return r, float(r @ r)
 

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from jointtrack.association import (
+    FORBIDDEN_COST,
     AssociationResult,
     BoundingBox,
+    _gated_costs,
     box_distance,
     expected_box,
     match_gnn,
@@ -47,6 +49,19 @@ def brute_force_best(cost, gate):
         if best is None or key < best:
             best = key
     return -best[0], best[1]
+
+
+def loop_gated_costs(expected, detections, gate, blocked=()):
+    """Reference: the gated cost matrix filled one box_distance at a time."""
+    cost = np.full((len(expected), len(detections)), FORBIDDEN_COST)
+    for i, exp in enumerate(expected):
+        for j, det in enumerate(detections):
+            if j in blocked:
+                continue
+            d = box_distance(exp, det)
+            if d <= gate:
+                cost[i, j] = d
+    return cost
 
 
 class TestExpectedBox:
@@ -193,6 +208,32 @@ class TestMatchGnn:
             assert len(res.matches) == best_count
             assert res.total_cost() == pytest.approx(best_cost, abs=1e-9)
 
+    def test_cost_matrix_equals_per_cell_loop(self):
+        rng = np.random.default_rng(67)
+        gate = 60.0
+        for _ in range(200):
+            n_t, n_d = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            expected = [(rng.uniform(0, 640), rng.uniform(5, 150)) for _ in range(n_t)]
+            dets = [
+                BoundingBox(u=rng.uniform(0, 640), v=240, w=rng.uniform(5, 150), h=100)
+                for _ in range(n_d)
+            ]
+            blocked = set(rng.choice(n_d + 2, size=int(rng.integers(0, 3)), replace=False).tolist())
+            # One pair exactly on the gate (a 36-48-60 triangle).
+            expected[0] = (float(rng.integers(0, 600)), float(rng.integers(5, 100)))
+            dets.append(BoundingBox(u=expected[0][0] + 36.0, v=240, w=expected[0][1] + 48.0, h=100))
+            got = _gated_costs(expected, dets, gate, blocked)
+            want = loop_gated_costs(expected, dets, gate, blocked)
+            assert np.array_equal(got, want)
+            if n_d not in blocked:
+                assert got[0, n_d] == gate
+
+    def test_blocked_out_of_range_indices_are_ignored(self):
+        dets = [BoundingBox(u=320, v=200, w=50, h=100), BoundingBox(u=330, v=200, w=52, h=100)]
+        res = match_gnn([(0, (320.0, 50.0))], dets, gate=80.0, forbidden_detections=[-1, 5])
+        assert res.matches == [(0, 0, 0.0)]
+        assert res.unmatched_detections == [1]
+
     def test_invalid_gate(self):
         with pytest.raises(ValueError):
             match_gnn([], [], gate=0.0)
@@ -206,3 +247,11 @@ class TestBoundingBox:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             BoundingBox(u=0, v=0, w=0, h=10)
+
+    @pytest.mark.parametrize("field", ["u", "v", "w", "h"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, value):
+        fields = dict(u=10.0, v=20.0, w=30.0, h=40.0)
+        fields[field] = value
+        with pytest.raises(ValueError):
+            BoundingBox(**fields)

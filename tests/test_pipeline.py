@@ -1,6 +1,7 @@
 """Tests for joint-pair merging, the tracking session and track lifecycle."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,3 +409,45 @@ class TestOcclusionRobustness:
         results = run_stream(dets)
         tracked = [r for r in results if r.status is SessionStatus.TRACKING]
         assert len(tracked) == len(results)
+
+
+class TestNonFiniteMeasurement:
+    def test_nan_joint_pixel_never_reports_non_finite_tracking(self):
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "seq1_approach.json"
+        with open(path, "r", encoding="utf-8") as fh:
+            scenario = Scenario.from_dict(json.load(fh))
+        records, _ = generate(scenario)
+        records[1]["detections"][0]["joints"]["neck"][0] = float("nan")
+        results = run_stream(records, setup=scenario.setup)
+        tracked = [r for r in results if r.status is SessionStatus.TRACKING]
+        assert len(tracked) > 200
+        for result in tracked:
+            assert np.all(np.isfinite(result.target_location))
+        json.dumps([result_to_record(r) for r in results], allow_nan=False)
+
+    def test_non_finite_update_is_a_miss_for_that_track_only(self):
+        persons = (
+            PersonSpec(trajectory=LineTrajectory(start=(5.0, 0.8), velocity=(-0.3, 0.0))),
+            PersonSpec(trajectory=LineTrajectory(start=(5.0, -0.8), velocity=(-0.3, 0.0))),
+        )
+        dets, _ = single_person_stream(persons=persons, duration=1.0)
+        frame = 10
+        poisoned = json.loads(json.dumps(dets))
+        for det in poisoned[frame]["detections"]:
+            if det["person"] == 1:
+                det["joints"]["neck"][1] = float("nan")
+        clean_results = run_stream(dets)
+        results = run_stream(poisoned)
+
+        before = {t.id: t for t in results[frame - 1].tracks}
+        clean = {t.id: t for t in clean_results[frame].tracks}
+        after = {t.id: t for t in results[frame].tracks}
+        assert len(after) == 2
+        (hit,) = [tid for tid in after if after[tid].misses == 0]
+        (miss,) = [tid for tid in after if after[tid].misses == 1]
+        # The healthy track gets the same posterior as without the NaN.
+        assert np.array_equal(after[hit].state.s, clean[hit].state.s)
+        assert np.array_equal(after[hit].state.P, clean[hit].state.P)
+        # The poisoned track keeps its prediction: only the covariance grew.
+        assert np.all(np.isfinite(after[miss].state.s))
+        assert np.trace(after[miss].state.P) > np.trace(before[miss].state.P)
