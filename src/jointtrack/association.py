@@ -5,7 +5,9 @@ matching uses the box detector instead: each track's ground state predicts
 the horizontal box center and, modelling the person as a cylinder of known
 width, the box width
 
-    u_bar = g(X)|_x,    w_bar = f_x * M_W / X_z .
+    u_bar = g(X)|_x,    w_bar = f_x * M_W / X_z ,
+
+with g the pinhole projection geometry.project_points.
 
 The distance to a detected box compares only these two components (the
 vertical center and box height carry no extra ground-plane information):
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import BehindCameraError
-from .geometry import CameraModel, GroundPlane
+from .geometry import CameraModel, GroundPlane, project_points
 from .prior import PriorModel
 
 MIN_ASSOCIATION_DEPTH = 0.1
@@ -79,25 +81,39 @@ class AssociationResult:
         return float(sum(m[2] for m in self.matches))
 
 
+def expected_boxes(
+    means: np.ndarray, widths: Sequence[float], camera: CameraModel, ground: GroundPlane
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Predicted (u_bar, w_bar) of T tracks with (T, 4) means and (T,) body
+    widths. Returns (too_close, boxes): too_close[t] marks a track no
+    deeper than 0.1 m, which gets no box, and boxes holds one row per other
+    track, in order.
+    """
+    ankles = ground.to_camera(means[:, 0:1], means[:, 1:2])
+    too_close = ankles[:, 2] <= MIN_ASSOCIATION_DEPTH
+    front = ankles[~too_close]
+    boxes = project_points(camera, front)  # column 0 is u_bar; v gives way to w_bar
+    boxes[:, 1] = camera.fx * np.asarray(widths, dtype=float)[~too_close] / front[:, 2]
+    return too_close, boxes
+
+
 def expected_box(
     state_mean: np.ndarray,
     camera: CameraModel,
     ground: GroundPlane,
     prior: PriorModel,
 ) -> Tuple[float, float]:
-    """Predicted (horizontal center, width) of a track's bounding box.
+    """Predicted (horizontal center, width) of a track's bounding box:
+    expected_boxes() for one track.
 
     Raises:
-        BehindCameraError: reconstructed depth is below 0.1 m.
+        BehindCameraError: reconstructed depth is at most 0.1 m.
     """
     s = np.asarray(state_mean, dtype=float).ravel()
-    ankle = ground.to_camera(s[0], s[1])
-    depth = ankle[2]
-    if depth <= MIN_ASSOCIATION_DEPTH:
-        raise BehindCameraError(f"predicted depth {depth:.3f} m is too small")
-    u_bar = camera.fx * ankle[0] / depth + camera.cx
-    w_bar = camera.fx * prior.body_width / depth
-    return float(u_bar), float(w_bar)
+    too_close, boxes = expected_boxes(s[None], [prior.body_width], camera, ground)
+    if too_close[0]:
+        raise BehindCameraError(f"predicted depth is at most {MIN_ASSOCIATION_DEPTH} m")
+    return float(boxes[0, 0]), float(boxes[0, 1])
 
 
 def box_distance(expected: Tuple[float, float], detected: BoundingBox) -> float:

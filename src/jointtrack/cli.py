@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .config import CameraSetup, RunConfig, load_camera_config, load_run_config
+from .errors import JointTrackError
 from .metrics import (
     DEFAULT_CENTER_THRESHOLD_PX,
     localization_metrics,
@@ -34,12 +35,22 @@ from .streams import (
 
 
 def run_tracker(setup: CameraSetup, config: RunConfig, detection_records):
-    """Feed a detection stream through a fresh session; return log records."""
+    """Feed a detection stream through a fresh session; return log records.
+
+    Raises:
+        JointTrackError: a record could not be processed (it is
+            malformed, out of order, or the session failed on it); the
+            message starts with its 1-based number, and the original error
+            is chained as the cause.
+    """
     session = TrackingSession(setup.camera, setup.ground, config, setup.extrinsics)
     log = []
-    for record in detection_records:
-        frame = detection_frame_from_record(record, config.min_confidence)
-        log.append(result_to_record(session.process_frame(frame)))
+    for number, record in enumerate(detection_records, 1):
+        try:
+            frame = detection_frame_from_record(record, config.min_confidence)
+            log.append(result_to_record(session.process_frame(frame)))
+        except JointTrackError as exc:
+            raise JointTrackError(f"record {number}: {exc}") from exc
     return log
 
 
@@ -169,8 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; a JointTrackError is reported on one stderr line
+    and gives exit status 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except JointTrackError as exc:
+        print(f"jointtrack {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

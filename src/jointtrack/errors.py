@@ -76,6 +76,10 @@ class NonMonotonicTimestampError(JointTrackError):
     """Frame timestamps must strictly increase within a stream."""
 
 
+class MalformedRecordError(JointTrackError):
+    """A detection-stream record lacks a field or holds an invalid value."""
+
+
 class EmptyScenarioError(JointTrackError):
     """Simulation scenario contains no persons."""
 

@@ -29,7 +29,10 @@ Robot frame:
     there is no relative yaw or roll.
 
 A person standing at ankle point X with a joint at height h above the
-ground has that joint at X + h * N. Conversely, a joint pixel p with known
+ground has that joint at X + h * N (joint_position), and the joint's
+pixel is its pinhole projection (project_points). This measurement model
+is written only there; the UKF, the prior fit, the expected and coast
+boxes and the simulator call them. Conversely, a joint pixel p with known
 height h fixes the person's position: the back-projected ray r = K^-1 [p;1]
 is scaled to the plane of height h and the ankle recovered by stepping back
 down the normal:
@@ -189,26 +192,17 @@ class RobotExtrinsics:
 
 
 def project(camera: CameraModel, point) -> np.ndarray:
-    """Project a camera-frame 3D point to pixel coordinates.
-
-    Returns (fx*x/z + cx, fy*y/z + cy). Raises NonPositiveDepthError when
-    the point is at or behind the camera.
-    """
-    p = np.asarray(point, dtype=float)
-    z = p[2]
-    if z <= MIN_PROJECTION_DEPTH:
-        raise NonPositiveDepthError(f"point depth {z!r} is not positive")
-    return np.array(
-        [camera.fx * p[0] / z + camera.cx, camera.fy * p[1] / z + camera.cy]
-    )
+    """Pixel coordinates of one camera-frame 3D point: project_points() for one point."""
+    return project_points(camera, point)
 
 
 def project_points(camera: CameraModel, points) -> np.ndarray:
     """Row-wise pinhole projection of camera-frame points.
 
-    points has shape (..., 3); the result has shape (..., 2), each row
-    computed exactly as project() computes one point. Raises
-    NonPositiveDepthError when any point is at or behind the camera.
+    points has shape (..., 3); the result has shape (..., 2). This is the
+    only place the pinhole model (fx*x/z + cx, fy*y/z + cy) is written;
+    project() is its one-point call. Raises NonPositiveDepthError when any
+    point is at or behind the camera.
     """
     p = np.asarray(points, dtype=float)
     z = p[..., 2]
@@ -290,9 +284,12 @@ def ground_plane_from_tilt(height: float, tilt: float) -> GroundPlane:
     return GroundPlane(normal=normal, gamma=float(height))
 
 
-def joint_position(ankle, ground: GroundPlane, h: float) -> np.ndarray:
-    """Camera-frame position of a joint at height h above the ankle point."""
-    return np.asarray(ankle, dtype=float) + float(h) * ground.normal
+def joint_position(ankle, ground: GroundPlane, h) -> np.ndarray:
+    """Camera-frame position of a joint at height h above the ankle point.
+
+    ankle (..., 3) broadcasts against h (...): one ankle and four heights
+    give a person's (4, 3) joints."""
+    return np.asarray(ankle, dtype=float) + np.asarray(h, dtype=float)[..., None] * ground.normal
 
 
 def camera_to_robot(point, extrinsics: RobotExtrinsics) -> np.ndarray:

@@ -17,7 +17,10 @@ The target track is created from the first usable frame: a full-body
 detection is fitted into a prior model, or, when a prior is preloaded in
 the config, any detection with one usable joint bootstraps the track.
 A frame's result counts as recognized ("Tracking") while the target track
-is alive, including short coasting stretches without a matched detection.
+is alive, including short coasting stretches without a matched detection,
+whose box comes from the state through geometry's measurement model.
+Steps 1-3 each make one call for all tracks (predict_batch, expected_boxes,
+update_batch), and each track gets its new TrackState once per frame.
 
 Sessions are single-writer state machines: process_frame calls must be
 serialized per session, while distinct sessions are independent. Returned
@@ -30,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .association import BoundingBox, expected_box, match_gnn
+from .association import BoundingBox, expected_box, expected_boxes, match_gnn
 from .config import RunConfig
 from .errors import (
     BehindCameraError,
@@ -47,10 +50,10 @@ from .geometry import (
     RobotExtrinsics,
     camera_to_robot,
     joint_position,
-    project,
+    project_points,
 )
 from .prior import FullBodyObservation, PriorModel, construct_prior, init_from_best_joint
-from .ukf import TrackState, measurement_from_joints, predict_batch, update_batch
+from .ukf import STATE_DIM, TrackState, measurement_from_joints, predict_batch, update_batch
 
 
 class TrackStatus(Enum):
@@ -286,13 +289,11 @@ class TrackingSession:
         try:
             u_bar, w_bar = expected_box(track.state.s, self.camera, self.ground, track.prior)
             ankle = self.ground.to_camera(track.state.s[0], track.state.s[1])
-            vs = []
-            for kind in JOINT_ORDER:
-                joint = joint_position(ankle, self.ground, track.prior.height_of(kind))
-                vs.append(project(self.camera, joint)[1])
+            heights = [track.prior.height_of(kind) for kind in JOINT_ORDER]
+            vs = project_points(self.camera, joint_position(ankle, self.ground, heights))[:, 1]
         except (BehindCameraError, NonPositiveDepthError):
             return None
-        v_lo, v_hi = min(vs), max(vs)
+        v_lo, v_hi = vs.min(), vs.max()
         return BoundingBox(
             u=u_bar, v=0.5 * (v_lo + v_hi), w=w_bar, h=max(v_hi - v_lo, 1.0)
         )
@@ -389,56 +390,21 @@ class TrackingSession:
             return None
         return self._new_track(ankle, is_target=False, prior=default_prior)
 
-    def _update_tracks(
-        self, measured: Dict[int, Tuple[np.ndarray, List[JointKind]]]
-    ) -> Set[int]:
-        """Update the tracks in measured (id -> (z, visible)) in one batch;
-        returns the ids updated. A track whose update fails, or whose
-        posterior is not finite, keeps its predicted state."""
-        if not measured:
-            return set()
-        tracks = [t for t in self._tracks if t.id in measured]
-        means, covs, errors = update_batch(
-            np.stack([t.state.s for t in tracks]),
-            np.stack([t.state.P for t in tracks]),
-            [measured[t.id] for t in tracks],
-            self.camera,
-            self.ground,
-            [t.prior for t in tracks],
-            self.config.ukf,
-        )
-        finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
-        updated: Set[int] = set()
-        for track, s, p, error, ok in zip(tracks, means, covs, errors, finite):
-            if error is None and ok:
-                track.state = TrackState(s=s, P=p)
-                updated.add(track.id)
-        return updated
-
     def _track_frame(self, frame: Frame, dt: float) -> FrameResult:
         detections = list(frame.detections)
         target = self.target
 
+        # A track is named by its row in active, in the filter arrays and in match_gnn.
         active = [t for t in self._tracks if t.status is not TrackStatus.LOST]
-        if active:
-            means, covs = predict_batch(
-                np.stack([t.state.s for t in active]),
-                np.stack([t.state.P for t in active]),
-                dt,
-                self.config.ukf,
-            )
-            for track, s, p in zip(active, means, covs):
-                track.state = TrackState(s=s, P=p)
-
-        expected: List[Tuple[int, Tuple[float, float]]] = []
-        missing_expectation: List[int] = []
-        for track in active:
-            try:
-                expected.append(
-                    (track.id, expected_box(track.state.s, self.camera, self.ground, track.prior))
-                )
-            except BehindCameraError:
-                missing_expectation.append(track.id)
+        means, covs = predict_batch(
+            np.array([t.state.s for t in active]).reshape(-1, STATE_DIM),
+            np.array([t.state.P for t in active]).reshape(-1, STATE_DIM, STATE_DIM),
+            dt,
+            self.config.ukf,
+        )
+        too_close, boxes = expected_boxes(
+            means, [t.prior.body_width for t in active], self.camera, self.ground
+        )
 
         reserved = None
         if (
@@ -449,31 +415,49 @@ class TrackingSession:
             reserved = frame.reid_target_hint
 
         assoc = match_gnn(
-            expected,
+            list(zip(np.flatnonzero(~too_close).tolist(), boxes)),
             [d.box for d in detections],
             gate=self.config.gate_px,
             forbidden_detections=None if reserved is None else [reserved],
         )
 
-        by_id = {t.id: t for t in self._tracks}
         matches: List[Tuple[int, int]] = []
         matched_target_box: Optional[BoundingBox] = None
-        missed_ids = set(assoc.unmatched_tracks) | set(missing_expectation)
+        missed = set(assoc.unmatched_tracks) | set(np.flatnonzero(too_close).tolist())
 
+        # One batched update of every match with usable joints. A track whose
+        # update fails, or whose posterior is not finite, keeps its prediction.
         measured: Dict[int, Tuple[np.ndarray, List[JointKind]]] = {}
-        for tid, j, _dist in assoc.matches:
+        for row, j, _dist in assoc.matches:
             joints = self._usable_joints(detections[j])
             if joints:
-                measured[tid] = measurement_from_joints(joints)
-        updated = self._update_tracks(measured)
+                measured[row] = measurement_from_joints(joints)
+        updated: Set[int] = set()
+        if measured:
+            rows = sorted(measured)
+            post_s, post_p, errors = update_batch(
+                means[rows],
+                covs[rows],
+                [measured[r] for r in rows],
+                self.camera,
+                self.ground,
+                [active[r].prior for r in rows],
+                self.config.ukf,
+            )
+            finite = np.isfinite(post_s).all(axis=1) & np.isfinite(post_p).all(axis=(1, 2))
+            for r, s, p, error, ok in zip(rows, post_s, post_p, errors, finite):
+                if error is None and ok:
+                    means[r], covs[r] = s, p
+                    updated.add(r)
+        for track, s, p in zip(active, means, covs):
+            track.state = TrackState(s=s, P=p)
 
-        for tid, j, _dist in assoc.matches:
-            track = by_id[tid]
-            detection = detections[j]
-            matches.append((tid, j))
+        for row, j, _dist in assoc.matches:
+            track = active[row]
+            matches.append((track.id, j))
             if track.is_target:
-                matched_target_box = detection.box
-            if tid in updated:
+                matched_target_box = detections[j].box
+            if row in updated:
                 track.misses = 0
                 track.consecutive_hits += 1
                 if (
@@ -484,11 +468,11 @@ class TrackingSession:
             else:
                 # A match without a usable measurement cannot refresh the
                 # track; treat it as a miss so stale tracks still expire.
-                missed_ids.add(tid)
+                missed.add(row)
 
         dead: List[_Track] = []
-        for tid in missed_ids:
-            track = by_id[tid]
+        for row in missed:
+            track = active[row]
             track.misses += 1
             track.consecutive_hits = 0
             if track.status is TrackStatus.TENTATIVE:

@@ -36,6 +36,7 @@ from .geometry import (
     CameraModel,
     GroundPlane,
     JointKind,
+    joint_position,
     localize_from_joint,
     project_points,
 )
@@ -114,6 +115,15 @@ class FullBodyObservation:
         object.__setattr__(self, "joints", frozen)
 
 
+def _joints_and_residuals(
+    params: np.ndarray, camera: CameraModel, ground: GroundPlane, observed: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (4, 3) joints the 5 parameters place, and their pixel residuals."""
+    gx, gy, h_neck, h_hip, h_knee = params
+    joints = joint_position(ground.to_camera(gx, gy), ground, [h_neck, h_hip, h_knee, 0.0])
+    return joints, (observed - project_points(camera, joints)).ravel()
+
+
 def _residuals(
     params: np.ndarray,
     camera: CameraModel,
@@ -121,11 +131,7 @@ def _residuals(
     observed: np.ndarray,
 ) -> np.ndarray:
     """Stacked pixel residuals (neck, hip, knee, ankle) for the 5-parameter fit."""
-    gx, gy, h_neck, h_hip, h_knee = params
-    ankle = ground.to_camera(gx, gy)
-    heights = np.array([h_neck, h_hip, h_knee, 0.0])
-    joints = ankle[None, :] + heights[:, None] * ground.normal[None, :]
-    return (observed - project_points(camera, joints)).ravel()
+    return _joints_and_residuals(params, camera, ground, observed)[1]
 
 
 def _residuals_and_jacobian(
@@ -134,14 +140,8 @@ def _residuals_and_jacobian(
     ground: GroundPlane,
     observed: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    gx, gy, h_neck, h_hip, h_knee = params
-    origin, e1, e2 = ground._basis
-    ankle = origin + gx * e1 + gy * e2
-    heights = np.array([h_neck, h_hip, h_knee, 0.0])
-    joints = ankle[None, :] + heights[:, None] * ground.normal[None, :]
-    projected = project_points(camera, joints)
-    residuals = (observed - projected).ravel()
-
+    joints, residuals = _joints_and_residuals(params, camera, ground, observed)
+    _, e1, e2 = ground._basis
     jac = np.zeros((8, 5))
     for i in range(4):
         x, y, z = joints[i]

@@ -32,7 +32,7 @@ from .geometry import (
     camera_to_robot,
     joint_position,
     localize_from_joint,
-    project,
+    project_points,
     robot_to_camera,
 )
 
@@ -268,21 +268,25 @@ def _visible(camera: CameraModel, occluders: Sequence[Occluder], pixel: np.ndarr
     return not any(occ.contains(pixel) for occ in occluders)
 
 
+def _ankle(setup: CameraSetup, xy_robot: np.ndarray) -> np.ndarray:
+    """Camera-frame ground point under robot ground coordinates (x, y)."""
+    ground_z = setup.extrinsics.offset[2] - setup.ground.gamma
+    return robot_to_camera([xy_robot[0], xy_robot[1], ground_z], setup.extrinsics)
+
+
 def _project_joints(
     setup: CameraSetup, person: PersonSpec, xy_robot: np.ndarray
-) -> Optional[Dict[JointKind, np.ndarray]]:
-    """Noiseless pixel positions of all four joints, or None behind camera."""
-    ground_z = setup.extrinsics.offset[2] - setup.ground.gamma
-    ankle = robot_to_camera([xy_robot[0], xy_robot[1], ground_z], setup.extrinsics)
+) -> Optional[Tuple[Dict[JointKind, np.ndarray], float]]:
+    """Noiseless pixel positions of all four joints and the person's depth,
+    or None when the ankle or any joint is behind the camera."""
+    ankle = _ankle(setup, xy_robot)
     if ankle[2] <= 1e-6:
         return None
-    out = {}
-    for kind, h in person.heights().items():
-        joint = joint_position(ankle, setup.ground, h)
-        if joint[2] <= 1e-6:
-            return None
-        out[kind] = project(setup.camera, joint)
-    return out
+    heights = person.heights()
+    joints = joint_position(ankle, setup.ground, list(heights.values()))
+    if np.any(joints[:, 2] <= 1e-6):
+        return None
+    return dict(zip(heights, project_points(setup.camera, joints))), float(ankle[2])
 
 
 def _box_from_pixels(
@@ -304,12 +308,6 @@ def _box_from_pixels(
     if u_hi <= u_lo or v_hi <= v_lo:
         return None
     return [0.5 * (u_lo + u_hi), 0.5 * (v_lo + v_hi), u_hi - u_lo, v_hi - v_lo]
-
-
-def _person_depth(setup: CameraSetup, xy_robot: np.ndarray) -> float:
-    ground_z = setup.extrinsics.offset[2] - setup.ground.gamma
-    ankle = robot_to_camera([xy_robot[0], xy_robot[1], ground_z], setup.extrinsics)
-    return float(ankle[2])
 
 
 def generate(scenario: Scenario) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
@@ -337,15 +335,15 @@ def generate(scenario: Scenario) -> Tuple[List[Dict[str, Any]], List[Dict[str, A
 
         for p_idx, person in enumerate(scenario.persons):
             xy = person.trajectory.position(t)
-            clean = _project_joints(setup, person, xy)
+            projected = _project_joints(setup, person, xy)
             truth_entry: Dict[str, Any] = {"xy": [float(xy[0]), float(xy[1])]}
 
-            if clean is None:
+            if projected is None:
                 truth_entry["box"] = None
                 truth_persons.append(truth_entry)
                 continue
 
-            depth = _person_depth(setup, xy)
+            clean, depth = projected
             clean_visible = {
                 kind: pix
                 for kind, pix in clean.items()
@@ -440,7 +438,7 @@ def localization_errors(
                         t=float(det_frame["t"]),
                         person=int(p_idx),
                         joint=kind,
-                        depth=_person_depth(setup, xy_true),
+                        depth=float(_ankle(setup, xy_true)[2]),
                         error_m=float(np.linalg.norm(xy_est - xy_true)),
                     )
                 )

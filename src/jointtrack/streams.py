@@ -12,7 +12,8 @@ Detection stream, one record per frame (field names are the wire contract):
 Joint names may be the pre-merged four (neck/hip/knee/ankle) or raw
 17-keypoint skeleton names (left_shoulder, right_hip, ...); ingestion
 merges pairs either way. Records may carry extra keys (the simulator adds
-"person" for bookkeeping); readers ignore them.
+"person" for bookkeeping); readers ignore them. A record that lacks a
+field or holds an invalid value raises MalformedRecordError naming it.
 
 Track log, one record per processed frame:
 
@@ -32,26 +33,40 @@ import json
 from typing import Any, Dict, Iterable, List, Mapping
 
 from .association import BoundingBox
+from .errors import MalformedRecordError
 from .pipeline import Detection, Frame, FrameResult, merge_joint_pairs
 
 
 def detection_frame_from_record(record: Mapping[str, Any], min_confidence: float) -> Frame:
-    """Build a Frame from one detection-stream record, merging joint pairs."""
-    detections = []
-    for det in record.get("detections", []):
-        box = BoundingBox.from_list(det["box"])
-        raw = {
-            name: ((vals[0], vals[1]), vals[2])
-            for name, vals in det.get("joints", {}).items()
-        }
-        joints = merge_joint_pairs(raw, box, min_confidence)
-        detections.append(Detection(box=box, joints=joints))
-    hint = record.get("reid_hint")
-    return Frame(
-        timestamp=float(record["t"]),
-        detections=detections,
-        reid_target_hint=None if hint is None else int(hint),
-    )
+    """Build a Frame from one detection-stream record, merging joint pairs.
+
+    Raises:
+        MalformedRecordError: a field is missing or its value is invalid
+            (a box that is not four finite numbers with positive size, a
+            joint that is not [u, v, conf] with conf in [0, 1], a t or
+            reid_hint that is not a number); the message names the field.
+    """
+    index, field = None, "t"
+    try:
+        timestamp = float(record["t"])
+        detections = []
+        for index, det in enumerate(record.get("detections", [])):
+            field = "box"
+            box = BoundingBox.from_list(det["box"])
+            field = "joints"
+            raw = {
+                name: ((vals[0], vals[1]), vals[2])
+                for name, vals in det.get("joints", {}).items()
+            }
+            joints = merge_joint_pairs(raw, box, min_confidence)
+            detections.append(Detection(box=box, joints=joints))
+        index, field = None, "reid_hint"
+        hint = record.get("reid_hint")
+        hint = None if hint is None else int(hint)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        where = field if index is None else f"detections[{index}].{field}"
+        raise MalformedRecordError(f"malformed {where}: {type(exc).__name__}: {exc}") from exc
+    return Frame(timestamp=timestamp, detections=detections, reid_target_hint=hint)
 
 
 def result_to_record(result: FrameResult) -> Dict[str, Any]:

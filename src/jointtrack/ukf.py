@@ -42,6 +42,7 @@ from .geometry import (
     CameraModel,
     GroundPlane,
     JointKind,
+    joint_position,
     project_points,
 )
 from .prior import PriorModel
@@ -191,7 +192,7 @@ def _project_joints(
     order.
     """
     ankles = ground.to_camera(states[..., 0:1], states[..., 1:2])
-    joints = ankles[:, :, None, :] + heights[:, None, :, None] * ground.normal
+    joints = joint_position(ankles[:, :, None, :], ground, heights[:, None, :])
     behind = np.any(ankles[..., 2] <= 0, axis=1) | np.any(
         joints[..., 2] <= MIN_PROJECTION_DEPTH, axis=(1, 2)
     )

@@ -12,11 +12,13 @@ import pytest
 
 from jointtrack.association import (
     FORBIDDEN_COST,
+    MIN_ASSOCIATION_DEPTH,
     AssociationResult,
     BoundingBox,
     _gated_costs,
     box_distance,
     expected_box,
+    expected_boxes,
     match_gnn,
 )
 from jointtrack.errors import BehindCameraError
@@ -49,6 +51,18 @@ def brute_force_best(cost, gate):
         if best is None or key < best:
             best = key
     return -best[0], best[1]
+
+
+def inline_expected_box(state_mean, camera, ground, prior):
+    """Reference: one track's expected box with the pinhole model inline."""
+    s = np.asarray(state_mean, dtype=float).ravel()
+    ankle = ground.to_camera(s[0], s[1])
+    depth = ankle[2]
+    if depth <= MIN_ASSOCIATION_DEPTH:
+        raise BehindCameraError(f"predicted depth {depth:.3f} m is too small")
+    u_bar = camera.fx * ankle[0] / depth + camera.cx
+    w_bar = camera.fx * prior.body_width / depth
+    return float(u_bar), float(w_bar)
 
 
 def loop_gated_costs(expected, detections, gate, blocked=()):
@@ -90,6 +104,49 @@ class TestExpectedBox:
             expected_box([0.0, -1.0, 0, 0], CAM, LEVEL, PRIOR)
         with pytest.raises(BehindCameraError):
             expected_box([0.0, 0.05, 0, 0], CAM, LEVEL, PRIOR)
+
+    @pytest.mark.parametrize(
+        "ground", [LEVEL, ground_plane_from_tilt(1.2, 0.1)], ids=["level", "tilted"]
+    )
+    def test_batch_equals_inline_per_track_loop(self, ground):
+        rng = np.random.default_rng(21)
+        means = np.column_stack(
+            [rng.uniform(-4, 4, 40), rng.uniform(-2, 12, 40), rng.normal(size=(40, 2))]
+        )
+        # Track 0 is exactly on the 0.1 m depth limit on the level ground,
+        # track 1 is closer than the limit and track 2 behind the camera.
+        means[0, :2] = [0.3, MIN_ASSOCIATION_DEPTH]
+        means[1, :2] = [0.2, -0.1]
+        means[2, :2] = [0.0, -1.0]
+        priors = [PriorModel(body_width=w) for w in rng.uniform(0.3, 0.7, 40)]
+
+        too_close, boxes = expected_boxes(means, [p.body_width for p in priors], CAM, ground)
+        reference, behind = [], []
+        for t, (mean, prior) in enumerate(zip(means, priors)):
+            try:
+                reference.append(inline_expected_box(mean, CAM, ground, prior))
+            except BehindCameraError:
+                behind.append(t)
+                with pytest.raises(BehindCameraError):
+                    expected_box(mean, CAM, ground, prior)
+                continue
+            assert expected_box(mean, CAM, ground, prior) == reference[-1]
+        assert {1, 2} <= set(behind)
+        assert (0 in behind) == (ground is LEVEL)
+        assert list(np.flatnonzero(too_close)) == behind
+        assert boxes.shape == (40 - len(behind), 2)
+        assert [tuple(row) for row in boxes.tolist()] == reference
+
+    def test_depth_limit_is_inclusive(self):
+        just_beyond = np.nextafter(MIN_ASSOCIATION_DEPTH, 1.0)
+        means = np.array([[0.3, MIN_ASSOCIATION_DEPTH, 0, 0], [0.3, just_beyond, 0, 0]])
+        too_close, boxes = expected_boxes(means, [0.5, 0.5], CAM, LEVEL)
+        assert too_close.tolist() == [True, False]
+        assert boxes.shape == (1, 2)
+
+    def test_batch_of_no_tracks(self):
+        too_close, boxes = expected_boxes(np.empty((0, 4)), [], CAM, LEVEL)
+        assert too_close.shape == (0,) and boxes.shape == (0, 2)
 
 
 class TestBoxDistance:

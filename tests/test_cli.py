@@ -129,3 +129,31 @@ def test_bench_empty_dir_errors(workspace):
     empty = workspace / "none"
     empty.mkdir()
     assert main(["bench", "--scenario-dir", str(empty), "--out-dir", str(workspace / "out")]) == 2
+
+
+def _write_records(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+@pytest.mark.parametrize(
+    "bad_record, message",
+    [
+        ({"t": 0.2, "detections": [{"joints": {}}]}, "record 3: malformed detections[0].box"),
+        ({"t": 0.1, "detections": []}, "record 3: timestamp 0.1 does not advance"),
+    ],
+    ids=["malformed-record", "non-monotonic-timestamp"],
+)
+def test_track_reports_bad_record_on_one_line(workspace, capsys, bad_record, message):
+    dets = workspace / "bad.jsonl"
+    _write_records(dets, [{"t": 0.0, "detections": []}, {"t": 0.1, "detections": []}, bad_record])
+    assert main([
+        "track", "--camera", str(workspace / "camera.json"),
+        "--input", str(dets), "--output", str(workspace / "log.jsonl"),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("jointtrack track: error: ")
+    assert message in lines[0]
+    assert "Traceback" not in captured.err

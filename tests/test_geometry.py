@@ -27,6 +27,7 @@ from jointtrack.geometry import (
     joint_position,
     localize_from_joint,
     project,
+    project_points,
     ray_from_pixel,
     robot_to_camera,
 )
@@ -73,6 +74,17 @@ class TestProject:
         for _ in range(200):
             p = rng.uniform([-4, -4, 0.2], [4, 4, 12])
             np.testing.assert_allclose(project(CAM, p), oracle_project(CAM, p), atol=1e-9)
+
+    def test_one_point_equals_scalar_formula_and_row_kernel(self):
+        rng = np.random.default_rng(8)
+        points = rng.uniform([-4, -4, 0.2], [4, 4, 12], size=(100, 3))
+        rows = project_points(CAM, points)
+        for p, row in zip(points, rows):
+            got = project(CAM, p)
+            assert got.shape == (2,)
+            assert np.array_equal(got, row)
+            z = p[2]
+            assert np.array_equal(got, [CAM.fx * p[0] / z + CAM.cx, CAM.fy * p[1] / z + CAM.cy])
 
 
 class TestRayFromPixel:
@@ -242,6 +254,37 @@ class TestJointPosition:
         np.testing.assert_allclose(
             joint_position([1.0, 1.4, 3.0], LEVEL, 0.9), [1.0, 0.5, 3.0]
         )
+
+    def test_scalar_contract_matches_reference(self):
+        # Reference: the one-joint lift as written before it broadcast.
+        ground = ground_plane_from_tilt(height=1.2, tilt=0.3)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            ankle = rng.uniform([-3, -1, 0.5], [3, 2, 10])
+            h = float(rng.uniform(0, 2))
+            got = joint_position(list(ankle), ground, h)
+            assert got.shape == (3,)
+            assert np.array_equal(got, np.asarray(ankle, dtype=float) + float(h) * ground.normal)
+
+    @pytest.mark.parametrize(
+        "ankle_shape, heights_shape, out_shape",
+        [
+            ((3,), (4,), (4, 3)),
+            ((5, 3), (5,), (5, 3)),
+            ((2, 6, 1, 3), (2, 1, 4), (2, 6, 4, 3)),
+        ],
+    )
+    def test_broadcasts_ankles_against_heights(self, ankle_shape, heights_shape, out_shape):
+        ground = ground_plane_from_tilt(height=1.2, tilt=0.3)
+        rng = np.random.default_rng(12)
+        ankles = rng.uniform(-3, 10, size=ankle_shape)
+        heights = rng.uniform(0, 2, size=heights_shape)
+        got = joint_position(ankles, ground, heights)
+        assert got.shape == out_shape
+        a, h = np.broadcast_arrays(ankles[..., 0], heights)
+        for index in np.ndindex(a.shape):
+            ankle = np.broadcast_to(ankles, a.shape + (3,))[index]
+            assert np.array_equal(got[index], joint_position(ankle, ground, float(h[index])))
 
 
 class TestCameraToRobot:

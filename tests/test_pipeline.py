@@ -12,12 +12,13 @@ from jointtrack.errors import (
     NonMonotonicTimestampError,
     UninitializedSessionError,
 )
-from jointtrack.geometry import JointKind
+from jointtrack.geometry import JOINT_ORDER, JointKind
 from jointtrack.pipeline import (
     Frame,
     SessionStatus,
     TrackStatus,
     TrackingSession,
+    _Track,
     merge_joint_pairs,
 )
 from jointtrack.prior import PriorModel
@@ -29,6 +30,7 @@ from jointtrack.simulator import (
     generate,
 )
 from jointtrack.streams import detection_frame_from_record, result_to_record
+from jointtrack.ukf import TrackState
 
 SETUP = CameraSetup.from_dict(
     {
@@ -451,3 +453,56 @@ class TestNonFiniteMeasurement:
         # The poisoned track keeps its prediction: only the covariance grew.
         assert np.all(np.isfinite(after[miss].state.s))
         assert np.trace(after[miss].state.P) > np.trace(before[miss].state.P)
+
+
+def loop_coast_box(session, track):
+    """Reference: the coast box lifting and projecting one joint at a time,
+    with the box center and width and the pinhole model written inline."""
+    camera, ground, prior = session.camera, session.ground, track.prior
+    ankle = ground.to_camera(track.state.s[0], track.state.s[1])
+    depth = ankle[2]
+    if depth <= 0.1:
+        return None
+    u_bar = float(camera.fx * ankle[0] / depth + camera.cx)
+    w_bar = float(camera.fx * prior.body_width / depth)
+    vs = []
+    for kind in JOINT_ORDER:
+        joint = np.asarray(ankle, dtype=float) + float(prior.height_of(kind)) * ground.normal
+        if joint[2] <= 1e-9:
+            return None
+        vs.append(camera.fy * joint[1] / joint[2] + camera.cy)
+    v_lo, v_hi = min(vs), max(vs)
+    return BoundingBox(u=u_bar, v=0.5 * (v_lo + v_hi), w=w_bar, h=max(v_hi - v_lo, 1.0))
+
+
+class TestCoastBox:
+    # At tilt 0.1 some ground points are too close for a box; at tilt 1.2
+    # (camera looking steeply down) some upper joints of a person standing
+    # in front of the camera are behind it instead.
+    @pytest.mark.parametrize("tilt", [0.1, 1.2])
+    def test_equals_per_joint_loop(self, tilt):
+        setup = CameraSetup.from_dict(dict(SETUP.to_dict(), tilt_rad=tilt))
+        session = TrackingSession(setup.camera, setup.ground, RunConfig(), setup.extrinsics)
+        rng = np.random.default_rng(31)
+        outcomes = set()
+        for i in range(300):
+            h_knee = rng.uniform(0.3, 0.6)
+            h_hip = h_knee + rng.uniform(0.2, 0.6)
+            prior = PriorModel(
+                h_neck=h_hip + rng.uniform(0.2, 0.7),
+                h_hip=h_hip,
+                h_knee=h_knee,
+                body_width=rng.uniform(0.3, 0.7),
+            )
+            state = TrackState(
+                s=np.concatenate([rng.uniform([-3, -1], [3, 8]), rng.normal(size=2)]), P=np.eye(4)
+            )
+            track = _Track(
+                id=i, state=state, status=TrackStatus.CONFIRMED, is_target=True, prior=prior
+            )
+            expected = loop_coast_box(session, track)
+            got = session._coast_box(track)
+            outcomes.add(expected is None)
+            assert got == expected
+        assert outcomes == {True, False}
+

@@ -16,6 +16,7 @@ from jointtrack.simulator import (
     Scenario,
     SinusoidTrajectory,
     WaypointTrajectory,
+    _project_joints,
     generate,
     localization_errors,
     trajectory_from_dict,
@@ -249,3 +250,62 @@ class TestLocalizationOracle:
         errors = localization_errors(dets, truth, scn)
         assert all(e.joint is JointKind.ANKLE for e in errors)
         assert np.median([e.error_m for e in errors]) < 0.15
+
+
+def loop_project_joints(setup, person, xy_robot):
+    """Reference: each joint lifted and projected on its own, with the
+    pinhole model inline, and the depth from a second ankle computation."""
+    ground_z = setup.extrinsics.offset[2] - setup.ground.gamma
+    ankle = robot_to_camera([xy_robot[0], xy_robot[1], ground_z], setup.extrinsics)
+    if ankle[2] <= 1e-6:
+        return None
+    cam = setup.camera
+    out = {}
+    for kind, h in person.heights().items():
+        joint = np.asarray(ankle, dtype=float) + float(h) * setup.ground.normal
+        if joint[2] <= 1e-6:
+            return None
+        z = joint[2]
+        out[kind] = np.array([cam.fx * joint[0] / z + cam.cx, cam.fy * joint[1] / z + cam.cy])
+    depth = robot_to_camera([xy_robot[0], xy_robot[1], ground_z], setup.extrinsics)[2]
+    return out, float(depth)
+
+
+class TestProjectJoints:
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            LEVEL_SETUP,
+            TILTED_SETUP,
+            CameraSetup.from_dict(
+                dict(TILTED_SETUP.to_dict(), tilt_rad=1.2, robot_offset_m=[0.2, -0.1, 1.0])
+            ),
+        ],
+        ids=["level", "tilted", "steep-offset"],
+    )
+    def test_equals_per_joint_loop(self, setup):
+        rng = np.random.default_rng(41)
+        outcomes = set()
+        for _ in range(300):
+            h_knee = rng.uniform(0.3, 0.6)
+            h_hip = h_knee + rng.uniform(0.2, 0.6)
+            person = PersonSpec(
+                trajectory=LineTrajectory(start=(0.0, 0.0), velocity=(0.0, 0.0)),
+                h_neck=h_hip + rng.uniform(0.2, 0.7),
+                h_hip=h_hip,
+                h_knee=h_knee,
+            )
+            xy = rng.uniform([-2.0, -5.0], [10.0, 5.0])
+            expected = loop_project_joints(setup, person, xy)
+            got = _project_joints(setup, person, xy)
+            outcomes.add(expected is None)
+            if expected is None:
+                assert got is None
+                continue
+            (pixels, depth), (ref_pixels, ref_depth) = got, expected
+            assert depth == ref_depth
+            assert list(pixels) == list(ref_pixels)
+            for kind in ref_pixels:
+                assert np.array_equal(pixels[kind], ref_pixels[kind])
+        assert outcomes == {True, False}
+

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from jointtrack.config import (
     load_run_config,
     save_run_config,
 )
+from jointtrack.errors import JointTrackError, MalformedRecordError
 from jointtrack.geometry import JointKind
 from jointtrack.prior import PriorModel
 from jointtrack.streams import (
@@ -120,6 +122,10 @@ class TestRunConfig:
             RunConfig(use_joints=())
 
 
+NAN = float("nan")
+GOOD_DET = {"box": [100.0, 100.0, 40.0, 120.0], "joints": {"neck": [100.0, 60.0, 0.9]}}
+
+
 class TestDetectionRecords:
     def test_frame_from_record(self):
         record = {
@@ -150,6 +156,47 @@ class TestDetectionRecords:
         frame = detection_frame_from_record(record, 0.3)
         assert frame.detections[0].joints == {}
         assert frame.reid_target_hint is None
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"detections": []}, "t"),
+            ({"t": 0.0, "detections": [{"joints": {}}]}, "detections[0].box"),
+            ({"t": 0.0, "detections": [{"box": [1.0, 2.0, 3.0]}]}, "detections[0].box"),
+            ({"t": 0.0, "detections": [{"box": [NAN, 2.0, 3.0, 4.0]}]}, "detections[0].box"),
+            (
+                {"t": 0.0, "detections": [GOOD_DET, dict(GOOD_DET, joints={"neck": [1, 2, 1.5]})]},
+                "detections[1].joints",
+            ),
+            (
+                {"t": 0.0, "detections": [dict(GOOD_DET, joints={"neck": [1, 2]})]},
+                "detections[0].joints",
+            ),
+            ({"t": "soon", "detections": []}, "t"),
+            ({"t": 0.0, "detections": [GOOD_DET], "reid_hint": "first"}, "reid_hint"),
+        ],
+        ids=[
+            "missing-t",
+            "missing-box",
+            "three-element-box",
+            "nan-box",
+            "confidence-above-one",
+            "two-element-joint",
+            "string-t",
+            "string-reid-hint",
+        ],
+    )
+    def test_malformed_record_raises_typed_error_naming_the_field(self, record, field):
+        with pytest.raises(MalformedRecordError, match=rf"^malformed {re.escape(field)}: "):
+            detection_frame_from_record(record, 0.3)
+        assert issubclass(MalformedRecordError, JointTrackError)
+
+    def test_nan_joint_pixel_is_accepted(self):
+        # A non-finite joint pixel is the tracker's to reject (as a miss),
+        # not the parser's.
+        record = {"t": 0.0, "detections": [dict(GOOD_DET, joints={"neck": [NAN, 2.0, 0.9]})]}
+        frame = detection_frame_from_record(record, 0.3)
+        assert math.isnan(frame.detections[0].joints[JointKind.NECK].pixel[0])
 
 
 class TestJsonl:
