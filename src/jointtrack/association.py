@@ -48,7 +48,8 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.u, self.v, self.w, self.h)):
+        isfinite = math.isfinite
+        if not (isfinite(self.u) and isfinite(self.v) and isfinite(self.w) and isfinite(self.h)):
             raise ValueError("box fields must be finite")
         if self.w <= 0 or self.h <= 0:
             raise ValueError("box width and height must be positive")
@@ -61,8 +62,8 @@ class BoundingBox:
 
     @classmethod
     def from_list(cls, values: Sequence[float]) -> "BoundingBox":
-        u, v, w, h = (float(x) for x in values)
-        return cls(u=u, v=v, w=w, h=h)
+        u, v, w, h = values
+        return cls(float(u), float(v), float(w), float(h))
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ class UninitializedSessionError(JointTrackError):
 
 
 class NonMonotonicTimestampError(JointTrackError):
-    """Frame timestamps must strictly increase within a stream."""
+    """Frame timestamps must be finite and strictly increase within a stream."""
 
 
 class MalformedRecordError(JointTrackError):

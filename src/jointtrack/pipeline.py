@@ -1,7 +1,9 @@
 """Per-frame tracking pipeline: ingest, predict, associate, update.
 
 A TrackingSession owns the track table and processes frames strictly in
-timestamp order. Each frame:
+timestamp order; a timestamp that is not finite, or does not advance,
+raises NonMonotonicTimestampError and leaves the session as it was. Each
+frame:
 
 1. predicts every live track forward by the frame interval,
 2. computes expected boxes and matches tracks to detections globally,
@@ -27,6 +29,7 @@ serialized per session, while distinct sessions are independent. Returned
 FrameResult values are immutable snapshots.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -131,13 +134,24 @@ class FrameResult:
     unmatched_detections: Tuple[int, ...]
 
 
-# Raw 17-keypoint skeleton names that feed each merged joint.
-_SHOULDER_NAMES = ("left_shoulder", "right_shoulder")
-_PAIR_NAMES = {
-    JointKind.HIP: ("left_hip", "right_hip"),
-    JointKind.KNEE: ("left_knee", "right_knee"),
-    JointKind.ANKLE: ("left_ankle", "right_ankle"),
-}
+# Each merged pair joint: its pre-merged name, which takes precedence, then
+# the raw 17-keypoint skeleton names that feed it.
+_PAIR_NAMES = (
+    (JointKind.HIP, "hip", "left_hip", "right_hip"),
+    (JointKind.KNEE, "knee", "left_knee", "right_knee"),
+    (JointKind.ANKLE, "ankle", "left_ankle", "right_ankle"),
+)
+
+
+def _pixel(pixel: Sequence[float]) -> Tuple[float, float]:
+    """The two floats np.asarray(pixel, dtype=float).reshape(2) holds, or its
+    error; a tuple of two plain floats, the usual case, skips numpy."""
+    if type(pixel) is tuple and len(pixel) == 2:
+        u, v = pixel
+        if type(u) is float and type(v) is float:
+            return pixel
+    u, v = np.asarray(pixel, dtype=float).reshape(2).tolist()
+    return u, v
 
 
 def merge_joint_pairs(
@@ -152,40 +166,50 @@ def merge_joint_pairs(
     the pair (or the single visible joint's). The neck is taken directly
     when present, otherwise from the shoulder midpoint. Keypoints below
     min_confidence are dropped first; pre-merged 4-joint streams pass
-    through unchanged.
+    through unchanged. Every kept keypoint's pixel must read as two
+    numbers (a null reads as NaN), and every merged confidence must lie in
+    [0, 1]; otherwise ValueError or TypeError.
+
+    Every keypoint of every detection passes here, so the keypoints are
+    handled as plain floats and only the merged joints' pixels become
+    arrays.
     """
-    usable = {
-        name: (np.asarray(pixel, dtype=float).reshape(2), float(conf))
-        for name, (pixel, conf) in raw_joints.items()
-        if float(conf) >= min_confidence
-    }
+    usable: Dict[str, Tuple[Tuple[float, float], float]] = {}
+    for name, (pixel, conf) in raw_joints.items():
+        conf = float(conf)
+        if conf >= min_confidence:
+            usable[name] = (_pixel(pixel), conf)
     merged: Dict[JointKind, JointDetection] = {}
+    if not usable:
+        return merged
 
-    if "neck" in usable:
-        pixel, conf = usable["neck"]
-        merged[JointKind.NECK] = JointDetection(pixel=pixel, confidence=conf)
-    else:
-        shoulders = [usable[n] for n in _SHOULDER_NAMES if n in usable]
-        if len(shoulders) == 2:
-            pixel = 0.5 * (shoulders[0][0] + shoulders[1][0])
-            conf = 0.5 * (shoulders[0][1] + shoulders[1][1])
-            merged[JointKind.NECK] = JointDetection(pixel=pixel, confidence=conf)
-        elif len(shoulders) == 1:
-            merged[JointKind.NECK] = JointDetection(
-                pixel=shoulders[0][0], confidence=shoulders[0][1]
-            )
+    joint = usable.get("neck")
+    if joint is None:
+        left, right = usable.get("left_shoulder"), usable.get("right_shoulder")
+        if left is not None and right is not None:
+            (lu, lv), lc = left
+            (ru, rv), rc = right
+            joint = ((0.5 * (lu + ru), 0.5 * (lv + rv)), 0.5 * (lc + rc))
+        else:
+            joint = left or right
+    if joint is not None:
+        merged[JointKind.NECK] = JointDetection(pixel=np.array(joint[0]), confidence=joint[1])
 
-    for kind, pair_names in _PAIR_NAMES.items():
-        if kind.label in usable:
-            pixel, conf = usable[kind.label]
-            merged[kind] = JointDetection(pixel=pixel, confidence=conf)
-            continue
-        members = [usable[n] for n in pair_names if n in usable]
-        if not members:
-            continue
-        v = float(np.mean([m[0][1] for m in members]))
-        conf = float(np.mean([m[1] for m in members]))
-        merged[kind] = JointDetection(pixel=np.array([box.u, v]), confidence=conf)
+    for kind, name, left_name, right_name in _PAIR_NAMES:
+        joint = usable.get(name)
+        if joint is None:
+            left, right = usable.get(left_name), usable.get(right_name)
+            # Means as np.mean computes them: the sum starts from 0.0 (so a
+            # -0.0 alone gives 0.0), then is divided by the count.
+            if left is not None and right is not None:
+                v = (0.0 + left[0][1] + right[0][1]) / 2
+                joint = ((box.u, v), (0.0 + left[1] + right[1]) / 2)
+            elif left is not None or right is not None:
+                (_, v), conf = left or right
+                joint = ((box.u, 0.0 + v), 0.0 + conf)
+            else:
+                continue
+        merged[kind] = JointDetection(pixel=np.array(joint[0]), confidence=joint[1])
     return merged
 
 
@@ -237,6 +261,7 @@ class TrackingSession:
         self._next_id = 1
         self._last_t: Optional[float] = None
         self._target_prior: Optional[PriorModel] = config.prior
+        self._use_joints = frozenset(config.use_joints)
 
     # -- helpers -----------------------------------------------------------
 
@@ -273,11 +298,11 @@ class TrackingSession:
         return track
 
     def _usable_joints(self, detection: Detection) -> Dict[JointKind, np.ndarray]:
-        allowed = set(self.config.use_joints)
+        allowed, min_confidence = self._use_joints, self.config.min_confidence
         return {
             kind: obs.pixel
             for kind, obs in detection.joints.items()
-            if kind in allowed and obs.confidence >= self.config.min_confidence
+            if kind in allowed and obs.confidence >= min_confidence
         }
 
     def _robot_location(self, track: _Track) -> np.ndarray:
@@ -302,6 +327,8 @@ class TrackingSession:
 
     def process_frame(self, frame: Frame) -> FrameResult:
         """Advance the session by one frame; see the module docstring."""
+        if not math.isfinite(frame.timestamp):
+            raise NonMonotonicTimestampError(f"timestamp {frame.timestamp} is not finite")
         if self._last_t is not None and frame.timestamp <= self._last_t:
             raise NonMonotonicTimestampError(
                 f"timestamp {frame.timestamp} does not advance past {self._last_t}"

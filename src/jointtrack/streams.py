@@ -13,7 +13,10 @@ Joint names may be the pre-merged four (neck/hip/knee/ankle) or raw
 17-keypoint skeleton names (left_shoulder, right_hip, ...); ingestion
 merges pairs either way. Records may carry extra keys (the simulator adds
 "person" for bookkeeping); readers ignore them. A record that lacks a
-field or holds an invalid value raises MalformedRecordError naming it.
+field or holds an invalid value (NaN or infinite "t" included) raises
+MalformedRecordError naming it, and read_jsonl raises it with the line
+number for a line that is not JSON, such as one cut short. A keypoint
+pixel may be null: it reads as NaN, and an update with it counts as a miss.
 
 Track log, one record per processed frame:
 
@@ -30,6 +33,7 @@ Ground-truth stream (simulator output):
 """
 
 import json
+import math
 from typing import Any, Dict, Iterable, List, Mapping
 
 from .association import BoundingBox
@@ -44,11 +48,14 @@ def detection_frame_from_record(record: Mapping[str, Any], min_confidence: float
         MalformedRecordError: a field is missing or its value is invalid
             (a box that is not four finite numbers with positive size, a
             joint that is not [u, v, conf] with conf in [0, 1], a t or
-            reid_hint that is not a number); the message names the field.
+            reid_hint that is not a finite number, or an integer too large
+            for a float); the message names the field.
     """
     index, field = None, "t"
     try:
         timestamp = float(record["t"])
+        if not math.isfinite(timestamp):
+            raise ValueError("t must be finite")
         detections = []
         for index, det in enumerate(record.get("detections", [])):
             field = "box"
@@ -63,7 +70,7 @@ def detection_frame_from_record(record: Mapping[str, Any], min_confidence: float
         index, field = None, "reid_hint"
         hint = record.get("reid_hint")
         hint = None if hint is None else int(hint)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         where = field if index is None else f"detections[{index}].{field}"
         raise MalformedRecordError(f"malformed {where}: {type(exc).__name__}: {exc}") from exc
     return Frame(timestamp=timestamp, detections=detections, reid_target_hint=hint)
@@ -99,10 +106,22 @@ def write_jsonl(path, records: Iterable[Mapping[str, Any]]) -> None:
 
 
 def read_jsonl(path) -> List[Dict[str, Any]]:
+    """Read one JSON value per non-blank line.
+
+    Raises:
+        MalformedRecordError: a line is not valid JSON (for example, it was
+            cut short); the message starts with its 1-based line number.
+    """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecordError(
+                        f"line {number}: invalid JSON: {exc.msg} at column {exc.colno}"
+                    ) from exc
+                records.append(record)
     return records

@@ -1,10 +1,14 @@
 """End-to-end CLI tests: simulate -> track -> eval -> bench."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from jointtrack.cli import main
+from jointtrack.cli import main, run_tracker
+from jointtrack.config import RunConfig
+from jointtrack.errors import JointTrackError
+from jointtrack.simulator import Scenario, generate
 from jointtrack.streams import read_jsonl
 
 SCENARIO = {
@@ -157,3 +161,28 @@ def test_track_reports_bad_record_on_one_line(workspace, capsys, bad_record, mes
     assert lines[0].startswith("jointtrack track: error: ")
     assert message in lines[0]
     assert "Traceback" not in captured.err
+
+
+def test_track_reports_truncated_line_on_one_line(workspace, capsys):
+    dets = workspace / "cut.jsonl"
+    dets.write_text('{"t":0.0,"detections":[]}\n{"t":0.1,\n')
+    assert main([
+        "track", "--camera", str(workspace / "camera.json"),
+        "--input", str(dets), "--output", str(workspace / "log.jsonl"),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("jointtrack track: error: line 2: invalid JSON: ")
+    assert "Traceback" not in captured.err
+
+
+def test_run_tracker_names_the_record_with_a_nan_timestamp():
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "seq1_approach.json"
+    scenario = Scenario.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    records, _ = generate(scenario)
+    records[4]["t"] = float("nan")
+    with pytest.raises(JointTrackError) as info:
+        run_tracker(scenario.setup, RunConfig(), records)
+    assert str(info.value).startswith("record 5: malformed t: ")

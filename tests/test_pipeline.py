@@ -115,6 +115,66 @@ class TestMergeJointPairs:
         raw = {"nose": ((400.0, 300.0), 0.99), "left_wrist": ((350.0, 450.0), 0.9)}
         assert merge_joint_pairs(raw, BOX, 0.3) == {}
 
+    def test_single_shoulder_becomes_neck(self):
+        raw = {
+            "left_shoulder": ((380.0, 330.0), 0.1),
+            "right_shoulder": ((420.0, 336.0), 0.7),
+        }
+        merged = merge_joint_pairs(raw, BOX, 0.3)
+        assert set(merged) == {JointKind.NECK}
+        np.testing.assert_array_equal(merged[JointKind.NECK].pixel, [420.0, 336.0])
+        assert merged[JointKind.NECK].confidence == 0.7
+
+    def test_pair_means_are_bitwise_np_mean(self):
+        rng = np.random.default_rng(5)
+        tiny = np.finfo(float).tiny
+        special = [0.0, -0.0, 5e-324, -5e-324, 1.5, -1.5, 1e308, -1e308, np.inf, -np.inf, np.nan]
+        values = np.concatenate(
+            [
+                rng.uniform(-1e4, 1e4, 300),
+                rng.uniform(-1.0, 1.0, 100) * 1e308,
+                rng.uniform(-1.0, 1.0, 100) * tiny,
+            ]
+        ).tolist()
+        confs = np.concatenate(
+            [rng.uniform(0.0, 1.0, 400), rng.uniform(0.0, 1.0, 100) * tiny]
+        ).tolist()
+        members = (
+            list(zip(values, values[1:] + values[:1], confs, confs[1:] + confs[:1]))
+            + [(a, b, 0.5, 0.5) for a in special for b in special]
+            + [(a, None, c, None) for a in values + special for c in (0.0, -0.0, 5e-324, 0.7)]
+            + [(0.5, 0.5, a, b) for a in (0.0, -0.0, 5e-324, 1.0) for b in (0.0, -0.0, 5e-324)]
+        )
+        for kind, (left, right) in [
+            (JointKind.HIP, ("left_hip", "right_hip")),
+            (JointKind.KNEE, ("left_knee", "right_knee")),
+            (JointKind.ANKLE, ("left_ankle", "right_ankle")),
+        ]:
+            for v0, v1, c0, c1 in members:
+                raw = {left: ((1.0, v0), c0)}
+                if v1 is not None:
+                    raw[right] = ((2.0, v1), c1)
+                obs = merge_joint_pairs(raw, BOX, 0.0)[kind]
+                vs = [v0] if v1 is None else [v0, v1]
+                cs = [c0] if c1 is None else [c0, c1]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    v_mean, c_mean = np.float64(np.mean(vs)), np.float64(np.mean(cs))
+                assert obs.pixel[0] == BOX.u
+                assert obs.pixel[1:].tobytes() == v_mean.tobytes()
+                assert np.float64(obs.confidence).tobytes() == c_mean.tobytes()
+
+    def test_negative_confidence_is_dropped(self):
+        raw = {"neck": ((402.0, 331.0), -0.5), "left_hip": ((390.0, 500.0), -1e-9)}
+        assert merge_joint_pairs(raw, BOX, 0.3) == {}
+        assert merge_joint_pairs(raw, BOX, 0.0) == {}
+
+    def test_null_pixel_reads_as_nan(self):
+        raw = {"neck": ((None, 331.0), 0.9), "left_hip": ((390.0, None), 0.8)}
+        merged = merge_joint_pairs(raw, BOX, 0.3)
+        neck, hip = merged[JointKind.NECK].pixel, merged[JointKind.HIP].pixel
+        assert np.isnan(neck[0]) and neck[1] == 331.0
+        assert hip[0] == BOX.u and np.isnan(hip[1])
+
 
 class TestSessionLifecycle:
     def test_requires_camera_ground_config(self):
@@ -411,6 +471,19 @@ class TestOcclusionRobustness:
         results = run_stream(dets)
         tracked = [r for r in results if r.status is SessionStatus.TRACKING]
         assert len(tracked) == len(results)
+
+
+class TestNonFiniteTimestamp:
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamp_is_rejected_and_session_unchanged(self, t):
+        dets, _ = single_person_stream(duration=0.5)
+        session = TrackingSession(SETUP.camera, SETUP.ground, RunConfig(), SETUP.extrinsics)
+        first = session.process_frame(detection_frame_from_record(dets[0], 0.3))
+        with pytest.raises(NonMonotonicTimestampError, match="not finite"):
+            session.process_frame(Frame(timestamp=t))
+        second = session.process_frame(detection_frame_from_record(dets[1], 0.3))
+        assert first.status is second.status is SessionStatus.TRACKING
+        assert second.matches == ((first.tracks[0].id, 0),)
 
 
 class TestNonFiniteMeasurement:

@@ -2,11 +2,17 @@
 
 import json
 import math
+import random
 import re
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jointtrack.association import BoundingBox
 from jointtrack.config import (
     CameraSetup,
     RunConfig,
@@ -16,6 +22,7 @@ from jointtrack.config import (
 )
 from jointtrack.errors import JointTrackError, MalformedRecordError
 from jointtrack.geometry import JointKind
+from jointtrack.pipeline import Detection, Frame, JointDetection
 from jointtrack.prior import PriorModel
 from jointtrack.streams import (
     detection_frame_from_record,
@@ -174,6 +181,16 @@ class TestDetectionRecords:
             ),
             ({"t": "soon", "detections": []}, "t"),
             ({"t": 0.0, "detections": [GOOD_DET], "reid_hint": "first"}, "reid_hint"),
+            ({"t": NAN, "detections": [GOOD_DET]}, "t"),
+            ({"t": float("-inf"), "detections": []}, "t"),
+            ({"t": "Infinity", "detections": []}, "t"),
+            ({"t": 10**400, "detections": []}, "t"),
+            ({"t": 0.0, "detections": [{"box": [1.0, 2.0, 3.0, 10**400]}]}, "detections[0].box"),
+            (
+                {"t": 0.0, "detections": [dict(GOOD_DET, joints={"neck": [10**400, 2, 0.9]})]},
+                "detections[0].joints",
+            ),
+            ({"t": 0.0, "detections": [GOOD_DET], "reid_hint": float("inf")}, "reid_hint"),
         ],
         ids=[
             "missing-t",
@@ -184,6 +201,13 @@ class TestDetectionRecords:
             "two-element-joint",
             "string-t",
             "string-reid-hint",
+            "nan-t",
+            "negative-infinite-t",
+            "infinity-string-t",
+            "huge-int-t",
+            "huge-int-box",
+            "huge-int-pixel",
+            "infinite-reid-hint",
         ],
     )
     def test_malformed_record_raises_typed_error_naming_the_field(self, record, field):
@@ -213,3 +237,297 @@ class TestJsonl:
         path = tmp_path / "stream.jsonl"
         path.write_text('{"t":0.0}\n\n{"t":1.0}\n')
         assert read_jsonl(path) == [{"t": 0.0}, {"t": 1.0}]
+
+    def test_truncated_line_raises_typed_error_with_line_number(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        path.write_text('{"t":0.0}\n\n{"t":0.1,\n')
+        with pytest.raises(MalformedRecordError, match=r"^line 3: invalid JSON: "):
+            read_jsonl(path)
+
+
+# -- differential test against the numpy-per-keypoint ingest ------------------
+#
+# The reference below is the ingest path as it stood before the pixel of each
+# kept keypoint was read without numpy: detection_frame_from_record,
+# merge_joint_pairs and BoundingBox.from_list (with BoundingBox's validation)
+# as they were. It differs from that code in two places only, both marked: a
+# t that is not finite, and a number beyond the float range (OverflowError,
+# which used to escape untyped), are malformed.
+
+_REF_SHOULDER_NAMES = ("left_shoulder", "right_shoulder")
+_REF_PAIR_NAMES = {
+    JointKind.HIP: ("left_hip", "right_hip"),
+    JointKind.KNEE: ("left_knee", "right_knee"),
+    JointKind.ANKLE: ("left_ankle", "right_ankle"),
+}
+
+
+def _reference_box(values):
+    u, v, w, h = (float(x) for x in values)
+    if not all(math.isfinite(x) for x in (u, v, w, h)):
+        raise ValueError("box fields must be finite")
+    if w <= 0 or h <= 0:
+        raise ValueError("box width and height must be positive")
+    return BoundingBox(u=u, v=v, w=w, h=h)
+
+
+def _reference_merge(raw_joints, box, min_confidence):
+    usable = {
+        name: (np.asarray(pixel, dtype=float).reshape(2), float(conf))
+        for name, (pixel, conf) in raw_joints.items()
+        if float(conf) >= min_confidence
+    }
+    merged = {}
+
+    if "neck" in usable:
+        pixel, conf = usable["neck"]
+        merged[JointKind.NECK] = JointDetection(pixel=pixel, confidence=conf)
+    else:
+        shoulders = [usable[n] for n in _REF_SHOULDER_NAMES if n in usable]
+        if len(shoulders) == 2:
+            pixel = 0.5 * (shoulders[0][0] + shoulders[1][0])
+            conf = 0.5 * (shoulders[0][1] + shoulders[1][1])
+            merged[JointKind.NECK] = JointDetection(pixel=pixel, confidence=conf)
+        elif len(shoulders) == 1:
+            merged[JointKind.NECK] = JointDetection(
+                pixel=shoulders[0][0], confidence=shoulders[0][1]
+            )
+
+    for kind, pair_names in _REF_PAIR_NAMES.items():
+        if kind.label in usable:
+            pixel, conf = usable[kind.label]
+            merged[kind] = JointDetection(pixel=pixel, confidence=conf)
+            continue
+        members = [usable[n] for n in pair_names if n in usable]
+        if not members:
+            continue
+        v = float(np.mean([m[0][1] for m in members]))
+        conf = float(np.mean([m[1] for m in members]))
+        merged[kind] = JointDetection(pixel=np.array([box.u, v]), confidence=conf)
+    return merged
+
+
+def _reference_frame(record, min_confidence):
+    index, field = None, "t"
+    try:
+        timestamp = float(record["t"])
+        if not math.isfinite(timestamp):  # difference: a non-finite t is malformed
+            raise ValueError("t must be finite")
+        detections = []
+        for index, det in enumerate(record.get("detections", [])):
+            field = "box"
+            box = _reference_box(det["box"])
+            field = "joints"
+            raw = {
+                name: ((vals[0], vals[1]), vals[2])
+                for name, vals in det.get("joints", {}).items()
+            }
+            joints = _reference_merge(raw, box, min_confidence)
+            detections.append(Detection(box=box, joints=joints))
+        index, field = None, "reid_hint"
+        hint = record.get("reid_hint")
+        hint = None if hint is None else int(hint)
+    # difference: OverflowError is malformed too
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        where = field if index is None else f"detections[{index}].{field}"
+        raise MalformedRecordError(f"malformed {where}: {type(exc).__name__}: {exc}") from exc
+    return Frame(timestamp=timestamp, detections=detections, reid_target_hint=hint)
+
+
+def _bits(x):
+    """A float by type and bit pattern, so NaN == NaN and 0.0 != -0.0."""
+    return type(x), struct.pack("<d", x)
+
+
+def _canonical(frame):
+    return (
+        _bits(frame.timestamp),
+        type(frame.reid_target_hint),
+        frame.reid_target_hint,
+        [
+            (
+                [_bits(x) for x in det.box.to_list()],
+                [
+                    (
+                        kind,
+                        obs.pixel.dtype,
+                        obs.pixel.shape,
+                        obs.pixel.tobytes(),
+                        _bits(obs.confidence),
+                    )
+                    for kind, obs in det.joints.items()
+                ],
+            )
+            for det in frame.detections
+        ],
+    )
+
+
+def _outcome(parse, record, min_confidence):
+    """The canonical Frame, or the field a MalformedRecordError names."""
+    try:
+        return "frame", _canonical(parse(record, min_confidence))
+    except MalformedRecordError as exc:
+        return "malformed", re.match(r"malformed (\S+): ", str(exc)).group(1)
+
+
+COCO_NAMES = (
+    "nose", "left_eye", "right_eye", "left_ear", "right_ear",
+    "left_shoulder", "right_shoulder", "left_elbow", "right_elbow",
+    "left_wrist", "right_wrist", "left_hip", "right_hip",
+    "left_knee", "right_knee", "left_ankle", "right_ankle",
+)
+MERGED_NAMES = COCO_NAMES[5:7] + COCO_NAMES[11:] + ("neck", "hip", "knee", "ankle")
+JOINT_NAMES = COCO_NAMES + ("neck", "hip", "knee", "ankle", "Neck", "tail", "")
+
+numbers = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-1000, 1000),
+    st.sampled_from([10**400, -(10**400), 0.0, -0.0]),
+)
+# JSON-like values that are not plain numbers.
+oddities = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from(["1.5", "  2 ", "1e3", "nan", "-inf", "0x1", "x", ""]),
+    st.lists(st.floats(-1e3, 1e3), max_size=2),
+    st.dictionaries(st.sampled_from(["0", "u"]), st.floats(-1e3, 1e3), max_size=2),
+)
+specials = st.sampled_from([NAN, float("inf"), float("-inf"), None, True, "nan", 10**400])
+scalars = st.one_of(specials, numbers, oddities)
+nested = st.lists(st.one_of(st.floats(-1e3, 1e3), st.none()), max_size=2)
+# Confidences around min_confidence (0.3 is one of those drawn), at the
+# ends of [0, 1] and below it; all of these read without error.
+confidences = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.3, 1.0),
+    st.floats(0.3, 1.0),
+    st.sampled_from([-0.5, 0.0, 0.29999999999999993, 0.3, 0.30000000000000004, 1.0, NAN]),
+)
+positive = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def records(draw):
+    """A detection record in which each value is, at a rate drawn per record,
+    replaced by a value of the wrong kind, shape or range."""
+    rate = draw(st.sampled_from([0.0, 0.01, 0.03, 0.1, 0.3]))
+    # Seeded here, not drawn value by value, so that each value is bad at the
+    # rate itself: hypothesis skews its own draws towards the bounds.
+    coin = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def value(good, bad):
+        return draw(bad if coin.random() < rate else good)
+
+    def joint():
+        u, v = value(st.floats(-1e4, 1e4), scalars), value(st.floats(-1e4, 1e4), scalars)
+        conf = value(confidences, st.one_of(st.sampled_from([1.0000000000000002, 1.5]), scalars))
+        shape = value(st.just("uvc"), st.sampled_from(["uv", "uvc+", "nested", "scalar"]))
+        if shape == "uvc":
+            return [u, v, conf]
+        if shape == "uv":
+            return [u, v]
+        if shape == "uvc+":
+            return [u, v, conf, draw(scalars)]
+        if shape == "nested":
+            return [draw(nested), draw(nested), conf]
+        return draw(scalars)
+
+    def detection():
+        box = [value(st.floats(-1e3, 1e3), scalars), value(st.floats(-1e3, 1e3), scalars),
+               value(positive, scalars), value(positive, scalars)]
+        names = draw(st.lists(
+            st.one_of(st.sampled_from(MERGED_NAMES), st.sampled_from(JOINT_NAMES)),
+            min_size=1,
+            max_size=17,
+            unique=True,
+        ))
+        det = {"box": value(st.just(box), st.one_of(
+            st.just(box[:3]),
+            numbers.map(lambda extra: box + [extra]),
+            st.lists(scalars, min_size=3, max_size=5),
+            scalars,
+        ))}
+        if coin.random() < 0.9:  # otherwise a box-only detection
+            det["joints"] = value(st.just({name: joint() for name in names}), scalars)
+        return value(st.just(det), st.one_of(st.just({"joints": {}}), scalars))
+
+    record = {"t": value(st.floats(0.0, 100.0), scalars)}
+    count = draw(st.integers(1, 3))
+    record["detections"] = value(st.just([detection() for _ in range(count)]), scalars)
+    if draw(st.booleans()):
+        record["reid_hint"] = value(st.integers(-1, 4), scalars)
+    if coin.random() < rate:
+        del record[draw(st.sampled_from(sorted(record)))]
+    return record
+
+
+class TestIngestMatchesReference:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(records(), st.sampled_from([0.3, 0.0, 1.0]))
+    def test_equal_frame_or_same_malformed_field(self, record, min_confidence):
+        expected = _outcome(_reference_frame, record, min_confidence)
+        assert _outcome(detection_frame_from_record, record, min_confidence) == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [[1.0], [2.0], 0.9],
+            [[[1.0]], [[2.0]], 0.9],
+            [[1.0, 2.0], [3.0, 4.0], 0.9],
+            [[1.0], [2.0, 3.0], 0.9],
+            [[], [], 0.9],
+            [None, 1.0, 0.9],
+            [1, 2, 0.9],
+            ["1.5", " 2 ", "0.9"],
+            [True, 2.0, 0.9],
+            ["x", 1.0, 0.9],
+            [{"u": 1.0}, 1.0, 0.9],
+            [1.0, 2.0, 0.9, "extra"],
+            [1.0, 2.0, 1.5],
+            [1.0, 2.0, NAN],
+            [1.0, 2.0],
+            "129",
+            "120",
+            {"0": 1.0},
+            None,
+        ],
+    )
+    @pytest.mark.parametrize("name", ["nose", "neck", "left_hip", "hip", "left_shoulder"])
+    def test_odd_joint_value_matches_reference(self, name, value):
+        record = {"t": 0.5, "detections": [{"box": [1.0, 2.0, 3.0, 4.0], "joints": {name: value}}]}
+        expected = _outcome(_reference_frame, record, 0.3)
+        assert _outcome(detection_frame_from_record, record, 0.3) == expected
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            [1.0, 2.0, 3.0, 4.0, 5.0],
+            [1.0, 2.0, 3.0],
+            "1234",
+            ["1", "2", "3", "4"],
+            [True, 2, 3, 4],
+            [1.0, 2.0, 0.0, 4.0],
+            [1.0, 2.0, 3.0, float("-inf")],
+            {"u": 1, "v": 2, "w": 3, "h": 4},
+            [[1.0], 2.0, 3.0, 4.0],
+        ],
+    )
+    def test_odd_box_matches_reference(self, box):
+        record = {"t": 0.5, "detections": [{"box": box}]}
+        expected = _outcome(_reference_frame, record, 0.3)
+        assert _outcome(detection_frame_from_record, record, 0.3) == expected
+
+    def test_clutter_record(self):
+        # One frame of COCO 17-keypoint detections as a pose detector emits
+        # them: three tracked people with kept keypoints among box-only
+        # distractors whose keypoints are all below min_confidence.
+        path = Path(__file__).resolve().parent / "data" / "clutter_record.json"
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert len(record["detections"]) == 22
+        assert all(len(det["joints"]) == 17 for det in record["detections"])
+        kind, frame = _outcome(detection_frame_from_record, record, 0.3)
+        assert kind == "frame"
+        assert frame == _outcome(_reference_frame, record, 0.3)[1]
+        assert sum(1 for _, joints in frame[3] if joints) == 3
