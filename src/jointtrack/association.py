@@ -91,10 +91,12 @@ def expected_boxes(
     track, in order.
     """
     ankles = ground.to_camera(means[:, 0:1], means[:, 1:2])
+    widths = np.asarray(widths, dtype=float)
     too_close = ankles[:, 2] <= MIN_ASSOCIATION_DEPTH
-    front = ankles[~too_close]
-    boxes = project_points(camera, front)  # column 0 is u_bar; v gives way to w_bar
-    boxes[:, 1] = camera.fx * np.asarray(widths, dtype=float)[~too_close] / front[:, 2]
+    if too_close.any():
+        ankles, widths = ankles[~too_close], widths[~too_close]
+    boxes = project_points(camera, ankles)  # column 0 is u_bar; v gives way to w_bar
+    boxes[:, 1] = camera.fx * widths / ankles[:, 2]
     return too_close, boxes
 
 
@@ -133,14 +135,17 @@ def _gated_costs(
     """Track x detection matrix of box_distance values.
 
     Entries farther apart than the gate, and every column in blocked,
-    hold FORBIDDEN_COST. Each entry is computed exactly as box_distance
-    computes it.
+    hold FORBIDDEN_COST; a blocked value that names no column is ignored.
+    Each entry is computed exactly as box_distance computes it.
     """
     exp = np.array(expected, dtype=float)
     det = np.array([(d.u, d.w) for d in detections], dtype=float)
     dist = np.hypot(exp[:, 0:1] - det[:, 0], exp[:, 1:2] - det[:, 1])
-    allowed = (dist <= gate) & ~np.isin(np.arange(len(detections)), list(blocked))
-    return np.where(allowed, dist, FORBIDDEN_COST)
+    cost = np.where(dist <= gate, dist, FORBIDDEN_COST)
+    columns = [int(j) for j in blocked if j in range(len(detections))]
+    if columns:
+        cost[:, columns] = FORBIDDEN_COST
+    return cost
 
 
 def match_gnn(

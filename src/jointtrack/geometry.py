@@ -32,7 +32,11 @@ A person standing at ankle point X with a joint at height h above the
 ground has that joint at X + h * N (joint_position), and the joint's
 pixel is its pinhole projection (project_points). This measurement model
 is written only there; the UKF, the prior fit, the expected and coast
-boxes and the simulator call them. Conversely, a joint pixel p with known
+boxes and the simulator call them. project_points runs in every per-frame
+kernel, on one track as often as on twenty, so it is a handful of numpy
+calls: each CameraModel holds its focal lengths and principal point once
+as two read-only (2,) arrays, and a projection is one broadcast
+focal * xy / z + center. Conversely, a joint pixel p with known
 height h fixes the person's position: the back-projected ray r = K^-1 [p;1]
 is scaled to the plane of height h and the ankle recovered by stepping back
 down the normal:
@@ -95,6 +99,12 @@ class JointKind(IntEnum):
 JOINT_ORDER = (JointKind.NECK, JointKind.HIP, JointKind.KNEE, JointKind.ANKLE)
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only in place: for arrays computed once and shared."""
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class CameraModel:
     """Pinhole intrinsics plus image size.
@@ -116,6 +126,16 @@ class CameraModel:
             raise ValueError("cx must lie within the image")
         if not (0 <= self.cy < self.image_height):
             raise ValueError("cy must lie within the image")
+
+    @cached_property
+    def focal(self) -> np.ndarray:
+        """(fx, fy) as one read-only array."""
+        return read_only(np.array([self.fx, self.fy], dtype=float))
+
+    @cached_property
+    def center(self) -> np.ndarray:
+        """(cx, cy) as one read-only array."""
+        return read_only(np.array([self.cx, self.cy], dtype=float))
 
     def intrinsic_matrix(self) -> np.ndarray:
         """3x3 intrinsic matrix K."""
@@ -205,13 +225,10 @@ def project_points(camera: CameraModel, points) -> np.ndarray:
     point is at or behind the camera.
     """
     p = np.asarray(points, dtype=float)
-    z = p[..., 2]
-    if np.any(z <= MIN_PROJECTION_DEPTH):
+    z = p[..., 2:3]
+    if (z <= MIN_PROJECTION_DEPTH).any():
         raise NonPositiveDepthError("a point is at or behind the camera")
-    out = np.empty(p.shape[:-1] + (2,))
-    out[..., 0] = camera.fx * p[..., 0] / z + camera.cx
-    out[..., 1] = camera.fy * p[..., 1] / z + camera.cy
-    return out
+    return camera.focal * p[..., :2] / z + camera.center
 
 
 def ray_from_pixel(camera: CameraModel, pixel) -> np.ndarray:
@@ -242,7 +259,8 @@ def localize_from_joint(
         Camera-frame ankle point X, which lies on the ground plane.
 
     Raises:
-        DegenerateRayError: ray is parallel to the joint's height plane.
+        DegenerateRayError: the pixel is not finite, or the ray is parallel
+            to the joint's height plane.
         JointAtCameraHeightError: |gamma - h| is too small to fix scale.
         BehindCameraError: the geometric solution lies behind the camera.
     """
@@ -252,6 +270,8 @@ def localize_from_joint(
             f"joint height {h} is within {HEIGHT_EPS} of camera height {ground.gamma}"
         )
     r = ray_from_pixel(camera, pixel)
+    if not (math.isfinite(r[0]) and math.isfinite(r[1])):
+        raise DegenerateRayError("joint pixel is not finite")
     denom = float(ground.normal @ r)
     if abs(denom) <= RAY_EPS:
         raise DegenerateRayError("ray is parallel to the joint height plane")

@@ -81,7 +81,10 @@ class JointDetection:
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError("confidence must be in [0, 1]")
-        object.__setattr__(self, "pixel", np.asarray(self.pixel, dtype=float).reshape(2))
+        pixel = self.pixel
+        # Ingest hands over float64 (2,) arrays, which need no conversion.
+        if not (type(pixel) is np.ndarray and pixel.dtype == np.float64 and pixel.shape == (2,)):
+            object.__setattr__(self, "pixel", np.asarray(pixel, dtype=float).reshape(2))
 
 
 @dataclass(frozen=True)
@@ -314,8 +317,8 @@ class TrackingSession:
         try:
             u_bar, w_bar = expected_box(track.state.s, self.camera, self.ground, track.prior)
             ankle = self.ground.to_camera(track.state.s[0], track.state.s[1])
-            heights = [track.prior.height_of(kind) for kind in JOINT_ORDER]
-            vs = project_points(self.camera, joint_position(ankle, self.ground, heights))[:, 1]
+            joints = joint_position(ankle, self.ground, track.prior.heights)
+            vs = project_points(self.camera, joints)[:, 1]
         except (BehindCameraError, NonPositiveDepthError):
             return None
         v_lo, v_hi = vs.min(), vs.max()
@@ -432,6 +435,7 @@ class TrackingSession:
         too_close, boxes = expected_boxes(
             means, [t.prior.body_width for t in active], self.camera, self.ground
         )
+        close = too_close.tolist()
 
         reserved = None
         if (
@@ -442,7 +446,7 @@ class TrackingSession:
             reserved = frame.reid_target_hint
 
         assoc = match_gnn(
-            list(zip(np.flatnonzero(~too_close).tolist(), boxes)),
+            list(zip([row for row, c in enumerate(close) if not c], boxes)),
             [d.box for d in detections],
             gate=self.config.gate_px,
             forbidden_detections=None if reserved is None else [reserved],
@@ -450,7 +454,7 @@ class TrackingSession:
 
         matches: List[Tuple[int, int]] = []
         matched_target_box: Optional[BoundingBox] = None
-        missed = set(assoc.unmatched_tracks) | set(np.flatnonzero(too_close).tolist())
+        missed = set(assoc.unmatched_tracks) | {row for row, c in enumerate(close) if c}
 
         # One batched update of every match with usable joints. A track whose
         # update fails, or whose posterior is not finite, keeps its prediction.

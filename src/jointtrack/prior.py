@@ -17,6 +17,7 @@ test suite.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -39,6 +40,7 @@ from .geometry import (
     joint_position,
     localize_from_joint,
     project_points,
+    read_only,
 )
 
 DEFAULT_HEIGHTS = (1.40, 0.95, 0.50)  # average adult neck/hip/knee, meters
@@ -69,6 +71,12 @@ class PriorModel:
             )
         if self.body_width <= 0:
             raise ValueError("body width must be positive")
+
+    @cached_property
+    def heights(self) -> np.ndarray:
+        """The four joint heights (ankle 0.0) as one read-only array in
+        JOINT_ORDER, so a JointKind's value is its column."""
+        return read_only(np.array([self.h_neck, self.h_hip, self.h_knee, 0.0], dtype=float))
 
     def height_of(self, kind: JointKind) -> float:
         if kind is JointKind.NECK:

@@ -57,6 +57,7 @@ def detection_frame_from_record(record: Mapping[str, Any], min_confidence: float
         if not math.isfinite(timestamp):
             raise ValueError("t must be finite")
         detections = []
+        field = "detections"
         for index, det in enumerate(record.get("detections", [])):
             field = "box"
             box = BoundingBox.from_list(det["box"])

@@ -22,9 +22,17 @@ one batched solve. A track whose sigma points cross behind the camera, or
 whose covariance has no square root even with jitter, fails alone; every
 other track gets the same posterior as it would alone. predict, update and
 observe are the one-track calls of the same code.
+
+The paper's own sequences follow one person, so most calls carry one
+track, and their cost is the number of numpy calls, not the arithmetic.
+What does not change between frames is therefore computed once: the
+sigma-point weights and the measurement noise R of each of the 15
+visible-joint sets once per UkfParams, and a person's four joint heights
+once per PriorModel, as one read-only array indexed by JointKind.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +52,7 @@ from .geometry import (
     JointKind,
     joint_position,
     project_points,
+    read_only,
 )
 from .prior import PriorModel
 
@@ -69,9 +78,9 @@ class TrackState:
     P: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float).reshape(STATE_DIM).copy()
-        P = np.asarray(self.P, dtype=float).reshape(STATE_DIM, STATE_DIM).copy()
-        if np.max(np.abs(P - P.T)) > COVARIANCE_SYMMETRY_TOL:
+        s = np.array(self.s, dtype=float, order="C").reshape(STATE_DIM)
+        P = np.array(self.P, dtype=float, order="C").reshape(STATE_DIM, STATE_DIM)
+        if abs(P - P.T).max() > COVARIANCE_SYMMETRY_TOL:  # a NaN max passes
             raise ValueError("covariance must be symmetric")
         s.flags.writeable = False
         P.flags.writeable = False
@@ -122,12 +131,30 @@ class UkfParams:
     def lam(self) -> float:
         return self.alpha**2 * (STATE_DIM + self.kappa) - STATE_DIM
 
+    @cached_property
+    def weights(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The sigma points' mean and covariance weights, read-only and shaped
+        for the batched products: wm a (1, 9) row, wc a (9, 1) column."""
+        lam = self.lam
+        wm = np.full(2 * STATE_DIM + 1, 1.0 / (2.0 * (STATE_DIM + lam)))
+        wc = wm.copy()
+        wm[0] = lam / (STATE_DIM + lam)
+        wc[0] = wm[0] + (1.0 - self.alpha**2 + self.beta)
+        return read_only(wm[None, :]), read_only(wc[:, None])
+
+    @cached_property
+    def noise_by_joints(self) -> Dict[Tuple[JointKind, ...], np.ndarray]:
+        """measurement_noise() of each of the 15 visible-joint sets, read-only,
+        keyed by the set in measurement order."""
+        sets = (tuple(k for k in JOINT_ORDER if mask & (1 << k)) for mask in range(1, 16))
+        return {kinds: read_only(measurement_noise(kinds, self)) for kinds in sets}
+
 
 def transition_matrix(dt: float) -> np.ndarray:
-    f = np.eye(STATE_DIM)
-    f[0, 2] = dt
-    f[1, 3] = dt
-    return f
+    return np.array(
+        [[1.0, 0.0, dt, 0.0], [0.0, 1.0, 0.0, dt], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        dtype=float,
+    )
 
 
 def process_noise(dt: float, accel_sigma: float) -> np.ndarray:
@@ -135,12 +162,10 @@ def process_noise(dt: float, accel_sigma: float) -> np.ndarray:
     q11 = dt**4 / 4.0
     q12 = dt**3 / 2.0
     q22 = dt**2
-    q = np.zeros((STATE_DIM, STATE_DIM))
-    for axis in range(GROUND_DIM):
-        q[axis, axis] = q11
-        q[axis, axis + 2] = q12
-        q[axis + 2, axis] = q12
-        q[axis + 2, axis + 2] = q22
+    q = np.array(
+        [[q11, 0.0, q12, 0.0], [0.0, q11, 0.0, q12], [q12, 0.0, q22, 0.0], [0.0, q12, 0.0, q22]],
+        dtype=float,
+    )
     return accel_sigma**2 * q
 
 
@@ -158,7 +183,7 @@ def predict_batch(
     f = transition_matrix(dt)
     s = (f @ np.asarray(means, dtype=float)[..., None])[..., 0]
     p = f @ np.asarray(covs, dtype=float) @ f.T + process_noise(dt, params.process_accel_sigma)
-    return s, 0.5 * (p + np.swapaxes(p, -1, -2))
+    return s, 0.5 * (p + p.swapaxes(-1, -2))
 
 
 def predict(state: TrackState, dt: float, params: UkfParams) -> TrackState:
@@ -193,15 +218,13 @@ def _project_joints(
     """
     ankles = ground.to_camera(states[..., 0:1], states[..., 1:2])
     joints = joint_position(ankles[:, :, None, :], ground, heights[:, None, :])
-    behind = np.any(ankles[..., 2] <= 0, axis=1) | np.any(
-        joints[..., 2] <= MIN_PROJECTION_DEPTH, axis=(1, 2)
+    behind = (ankles[..., 2] <= 0).any(axis=1) | (joints[..., 2] <= MIN_PROJECTION_DEPTH).any(
+        axis=(1, 2)
     )
-    pixels = project_points(camera, joints[~behind])
+    if behind.any():
+        joints = joints[~behind]
+    pixels = project_points(camera, joints)
     return behind, pixels.reshape(pixels.shape[0], states.shape[1], 2 * heights.shape[1])
-
-
-def _heights(prior: PriorModel, kinds: Sequence[JointKind]) -> List[float]:
-    return [prior.height_of(k) for k in kinds]
 
 
 def observe(
@@ -224,7 +247,7 @@ def observe(
     if not kinds:
         raise ValueError("at least one visible joint is required")
     s = np.asarray(state_mean, dtype=float).reshape(1, 1, -1)
-    behind, pixels = _project_joints(s, np.array([_heights(prior, kinds)]), camera, ground)
+    behind, pixels = _project_joints(s, prior.heights[None, kinds], camera, ground)
     if behind[0]:
         raise BehindCameraError("predicted person is behind the camera")
     return pixels[0, 0]
@@ -273,21 +296,9 @@ def _sigma_points(
                 roots[t] = _cholesky_root(matrix)
             except SigmaPointFailureError as exc:
                 errors[t] = exc
-    offsets = np.swapaxes(roots, 1, 2)  # row i is the factor's column i
-    points = np.empty((len(means), 2 * STATE_DIM + 1, STATE_DIM))
-    points[:, 0] = means
-    points[:, 1 : 1 + STATE_DIM] = means[:, None, :] + offsets
-    points[:, 1 + STATE_DIM :] = means[:, None, :] - offsets
-    return points, errors
-
-
-def _weights(params: UkfParams) -> Tuple[np.ndarray, np.ndarray]:
-    lam = params.lam
-    wm = np.full(2 * STATE_DIM + 1, 1.0 / (2.0 * (STATE_DIM + lam)))
-    wc = wm.copy()
-    wm[0] = lam / (STATE_DIM + lam)
-    wc[0] = wm[0] + (1.0 - params.alpha**2 + params.beta)
-    return wm, wc
+    offsets = roots.transpose(0, 2, 1)  # row i is the factor's column i
+    centers = means[:, None, :]
+    return np.concatenate((centers, centers + offsets, centers - offsets), axis=1), errors
 
 
 def measurement_noise(visible: Sequence[JointKind], params: UkfParams) -> np.ndarray:
@@ -338,38 +349,41 @@ def update_batch(
         groups.setdefault(kinds, []).append(t)
 
     points, errors = _sigma_points(means, covs, params)
-    wm, wc = _weights(params)
+    wm, wc = params.weights
     out_s, out_p = means.copy(), covs.copy()
     for kinds, members in groups.items():
-        rows = np.array([t for t in members if errors[t] is None], dtype=int)
-        if rows.size == 0:
+        live = [t for t in members if errors[t] is None]
+        if not live:
             continue
-        heights = np.array([_heights(priors[t], kinds) for t in rows])
-        behind, z_sigma = _project_joints(points[rows], heights, camera, ground)
-        for t in rows[behind]:
-            errors[t] = BehindCameraError("a sigma point left the camera's front halfspace")
-        rows = rows[~behind]
-        if rows.size == 0:
-            continue
-        s, p = means[rows], covs[rows]
-        z_spread_mean = wm @ z_sigma
-        dz = z_sigma - z_spread_mean[:, None, :]
-        ds = points[rows] - s[:, None, :]
-        innovation_cov = np.swapaxes(wc[:, None] * dz, 1, 2) @ dz + measurement_noise(kinds, params)
-        cross_cov = np.swapaxes(wc[:, None] * ds, 1, 2) @ dz
+        rows = np.array(live)
+        sigma = points[rows]
+        heights = np.array([priors[t].heights for t in live])[:, kinds]
+        behind, z_sigma = _project_joints(sigma, heights, camera, ground)
+        if len(z_sigma) < len(rows):  # some track is behind the camera
+            for t in rows[behind].tolist():
+                errors[t] = BehindCameraError("a sigma point left the camera's front halfspace")
+            rows, sigma = rows[~behind], sigma[~behind]
+            if rows.size == 0:
+                continue
+            live = rows.tolist()
+        s, p = sigma[:, 0], covs[rows]
+        dz = z_sigma - wm @ z_sigma
+        ds = sigma - sigma[:, :1]
+        innovation_cov = (wc * dz).transpose(0, 2, 1) @ dz + params.noise_by_joints[kinds]
+        cross_cov = (wc * ds).transpose(0, 2, 1) @ dz
 
         # The innovation is centered on the mean's own projection (sigma
         # point 0), so a measurement generated exactly at the mean leaves
         # it fixed; the unscented spread still shapes the gain and
         # covariances.
-        gain = np.swapaxes(
-            np.linalg.solve(np.swapaxes(innovation_cov, 1, 2), np.swapaxes(cross_cov, 1, 2)), 1, 2
-        )
-        innovation = np.stack([zs[t] for t in rows]) - z_sigma[:, 0]
+        gain = np.linalg.solve(
+            innovation_cov.transpose(0, 2, 1), cross_cov.transpose(0, 2, 1)
+        ).transpose(0, 2, 1)
+        innovation = np.array([zs[t] for t in live]) - z_sigma[:, 0]
         s_new = s + (gain @ innovation[..., None])[..., 0]
-        p_new = p - gain @ innovation_cov @ np.swapaxes(gain, 1, 2)
+        p_new = p - gain @ innovation_cov @ gain.transpose(0, 2, 1)
         out_s[rows] = s_new
-        out_p[rows] = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
+        out_p[rows] = 0.5 * (p_new + p_new.transpose(0, 2, 1))
     return out_s, out_p, errors
 
 

@@ -128,6 +128,14 @@ class TestLocalizeFromJoint:
         with pytest.raises(JointAtCameraHeightError):
             localize_from_joint(CAM, LEVEL, [320.0, 240.0], 1.4)
 
+    @pytest.mark.parametrize(
+        "pixel", [[np.nan, 300.0], [320.0, np.nan], [np.inf, 300.0], [320.0, -np.inf]]
+    )
+    def test_non_finite_pixel_is_a_degenerate_ray(self, pixel):
+        # A NaN pixel would otherwise cast to a NaN ankle and pass every check.
+        with pytest.raises(DegenerateRayError, match="not finite"):
+            localize_from_joint(CAM, ground_plane_from_tilt(1.4, 0.1), pixel, 0.5)
+
     def test_degenerate_ray_is_rejected(self):
         # Level camera: the ray through the principal point is horizontal,
         # parallel to every height plane.

@@ -15,6 +15,7 @@ from jointtrack.errors import (
 from jointtrack.geometry import JOINT_ORDER, JointKind
 from jointtrack.pipeline import (
     Frame,
+    JointDetection,
     SessionStatus,
     TrackStatus,
     TrackingSession,
@@ -71,6 +72,42 @@ def single_person_stream(**kwargs):
     )
     defaults.update(kwargs)
     return generate(Scenario(**defaults))
+
+
+class TestJointDetection:
+    def test_float_pair_array_is_kept_as_is(self):
+        pixel = np.array([10.0, 20.0])
+        assert JointDetection(pixel=pixel, confidence=0.5).pixel is pixel
+
+    @pytest.mark.parametrize(
+        "pixel",
+        [
+            [10, 20.5],
+            (10.0, 20.0),
+            np.array([10, 20]),
+            np.array([[10.0, 20.0]]),
+            np.array([10.0, 20.0], dtype=np.float32),
+            np.array([10.0, 20.0], dtype=">f8"),
+            np.array([10.0, 20.0, 30.0, 40.0])[::2],
+        ],
+        ids=["list", "tuple", "int-array", "row-array", "float32", "big-endian", "strided"],
+    )
+    def test_other_pixels_convert_as_before(self, pixel):
+        before = np.asarray(pixel, dtype=float).reshape(2)
+        after = JointDetection(pixel=pixel, confidence=0.5).pixel
+        assert type(after) is np.ndarray and after.dtype == before.dtype == np.float64
+        assert after.shape == (2,) and after.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "pixel",
+        [[1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0]), np.array([[1.0], [2.0], [3.0]]), ["a", 2.0], None],
+        ids=["three-list", "three-array", "three-column", "string", "none"],
+    )
+    def test_bad_pixels_fail_as_before(self, pixel):
+        with pytest.raises((ValueError, TypeError)) as before:
+            np.asarray(pixel, dtype=float).reshape(2)
+        with pytest.raises(before.type):
+            JointDetection(pixel=pixel, confidence=0.5)
 
 
 class TestMergeJointPairs:

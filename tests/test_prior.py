@@ -226,6 +226,15 @@ class TestInitFromBestJoint:
             assert used is kind
             np.testing.assert_allclose(ankle, ankle_fit, atol=1e-9)
 
+    def test_nan_joint_is_skipped(self):
+        ground = ground_plane_from_tilt(1.2, 0.1)
+        pix = project_person(CAM, ground, 0.2, 3.5, (1.40, 0.95, 0.50))
+        joints = {JointKind.NECK: np.array([np.nan, 100.0]), JointKind.HIP: pix[JointKind.HIP]}
+        ankle, used = init_from_best_joint(CAM, ground, PriorModel(), joints)
+        assert used is JointKind.HIP and np.isfinite(ankle).all()
+        with pytest.raises(NoUsableJointError):
+            init_from_best_joint(CAM, ground, PriorModel(), {JointKind.NECK: joints[JointKind.NECK]})
+
     def test_empty_joints_rejected(self):
         ground = ground_plane_from_tilt(1.4, 0.1)
         with pytest.raises(ValueError):

@@ -191,6 +191,8 @@ class TestDetectionRecords:
                 "detections[0].joints",
             ),
             ({"t": 0.0, "detections": [GOOD_DET], "reid_hint": float("inf")}, "reid_hint"),
+            ({"t": 0.0, "detections": 5}, "detections"),
+            ({"t": 0.0, "detections": None}, "detections"),
         ],
         ids=[
             "missing-t",
@@ -208,6 +210,8 @@ class TestDetectionRecords:
             "huge-int-box",
             "huge-int-pixel",
             "infinite-reid-hint",
+            "integer-detections",
+            "null-detections",
         ],
     )
     def test_malformed_record_raises_typed_error_naming_the_field(self, record, field):
@@ -250,9 +254,10 @@ class TestJsonl:
 # The reference below is the ingest path as it stood before the pixel of each
 # kept keypoint was read without numpy: detection_frame_from_record,
 # merge_joint_pairs and BoundingBox.from_list (with BoundingBox's validation)
-# as they were. It differs from that code in two places only, both marked: a
+# as they were. It differs from that code in three places only, all marked: a
 # t that is not finite, and a number beyond the float range (OverflowError,
-# which used to escape untyped), are malformed.
+# which used to escape untyped), are malformed, and a "detections" value that
+# is not iterable is named as such instead of as t.
 
 _REF_SHOULDER_NAMES = ("left_shoulder", "right_shoulder")
 _REF_PAIR_NAMES = {
@@ -314,6 +319,7 @@ def _reference_frame(record, min_confidence):
         if not math.isfinite(timestamp):  # difference: a non-finite t is malformed
             raise ValueError("t must be finite")
         detections = []
+        field = "detections"  # difference: used to stay "t"
         for index, det in enumerate(record.get("detections", [])):
             field = "box"
             box = _reference_box(det["box"])
