@@ -2,26 +2,31 @@
 
 A TrackingSession owns the track table and processes frames strictly in
 timestamp order; a timestamp that is not finite, or does not advance,
-raises NonMonotonicTimestampError and leaves the session as it was. Each
-frame:
+raises NonMonotonicTimestampError and leaves the session as it was. Every
+frame, the first one included, runs the same stages:
 
-1. predicts every live track forward by the frame interval,
-2. computes expected boxes and matches tracks to detections globally,
-3. updates matched tracks with their detection's visible joints,
-4. ages unmatched tracks (tentative ones die quickly, confirmed ones go
+1. acquisition picks the detection that (re)acquires the target, kept out
+   of matching: without a target, the hinted detection or else the first
+   that places it; for a Lost target, the re-identification hint's,
+2. predicts every live track forward by the frame interval,
+3. computes expected boxes and matches tracks to detections globally,
+4. updates matched tracks with their detection's visible joints,
+5. ages unmatched tracks (tentative ones die quickly, confirmed ones go
    Lost after a miss budget),
-5. spawns tentative tracks from unmatched detections,
-6. re-initializes a Lost target from the stream's re-identification hint
-   using the fitted prior (any single visible joint suffices),
-7. reports the target location in the robot frame.
+6. places the target at the acquired detection (a new target is reported
+   as spawned, a re-initialized one as matched),
+7. spawns tentative tracks from unmatched detections once a target exists,
+8. reports the target location in the robot frame.
 
-The target track is created from the first usable frame: a full-body
-detection is fitted into a prior model, or, when a prior is preloaded in
-the config, any detection with one usable joint bootstraps the track.
+The first frame is the case of an empty track table: stages 2-5 have
+nothing to do, and the session stays Uninitialized until a detection
+places the target. Without a prior only a full-body detection can, and its
+fit becomes the prior; with one (preloaded in the config, or fitted), any
+usable joint can. A candidate whose fit or ray cast fails is unusable.
 A frame's result counts as recognized ("Tracking") while the target track
 is alive, including short coasting stretches without a matched detection,
 whose box comes from the state through geometry's measurement model.
-Steps 1-3 each make one call for all tracks (predict_batch, expected_boxes,
+Steps 2-4 each make one call for all tracks (predict_batch, expected_boxes,
 update_batch), and each track gets its new TrackState once per frame.
 
 Sessions are single-writer state machines: process_frame calls must be
@@ -55,7 +60,13 @@ from .geometry import (
     joint_position,
     project_points,
 )
-from .prior import FullBodyObservation, PriorModel, construct_prior, init_from_best_joint
+from .prior import (
+    FIT_ERRORS,
+    FullBodyObservation,
+    PriorModel,
+    construct_prior,
+    init_from_best_joint,
+)
 from .ukf import STATE_DIM, TrackState, measurement_from_joints, predict_batch, update_batch
 
 
@@ -216,6 +227,10 @@ def merge_joint_pairs(
     return merged
 
 
+# Spawned tracks are placed with average adult proportions.
+_DEFAULT_PRIOR = PriorModel()
+
+
 @dataclass
 class _Track:
     id: int
@@ -243,8 +258,10 @@ class TrackingSession:
         camera, ground: calibrated camera and its ground plane.
         config: run tunables; config.prior preloads a fitted prior model
             so the first frame need not show the full body.
-        extrinsics: camera mounting in the robot frame (defaults to a
-            camera at the robot origin with the ground plane's tilt).
+        extrinsics: camera mounting in the robot frame, as
+            CameraSetup.extrinsics holds it.
+
+    A None argument raises UninitializedSessionError.
     """
 
     def __init__(
@@ -254,12 +271,12 @@ class TrackingSession:
         config: RunConfig,
         extrinsics: Optional[RobotExtrinsics] = None,
     ):
-        if camera is None or ground is None or config is None:
-            raise UninitializedSessionError("camera, ground and config are required")
+        if camera is None or ground is None or config is None or extrinsics is None:
+            raise UninitializedSessionError("camera, ground, config and extrinsics are required")
         self.camera = camera
         self.ground = ground
         self.config = config
-        self.extrinsics = extrinsics or RobotExtrinsics(tilt=_tilt_of(ground))
+        self.extrinsics = extrinsics
         self._tracks: List[_Track] = []
         self._next_id = 1
         self._last_t: Optional[float] = None
@@ -337,119 +354,31 @@ class TrackingSession:
                 f"timestamp {frame.timestamp} does not advance past {self._last_t}"
             )
         last_t, self._last_t = self._last_t, frame.timestamp
-        if self.target is None:
-            return self._initialize_target(frame)
-        # A target exists only after a first frame, so last_t is set.
-        return self._track_frame(frame, frame.timestamp - last_t)
-
-    def _initialize_target(self, frame: Frame) -> FrameResult:
-        detections = list(frame.detections)
-        candidate = self._pick_target_candidate(frame, detections)
-        if candidate is None:
-            return FrameResult(
-                timestamp=frame.timestamp,
-                status=SessionStatus.UNINITIALIZED,
-                target_location=None,
-                target_box=None,
-                tracks=(),
-                matches=(),
-                spawned=(),
-                unmatched_detections=tuple(range(len(detections))),
-            )
-
-        idx = candidate
-        detection = detections[idx]
-        if self._target_prior is None:
-            obs = FullBodyObservation(joints=detection.joint_pixels())
-            ankle, fitted, _ = construct_prior(self.camera, self.ground, obs)
-            self._target_prior = fitted
-        else:
-            ankle, _ = init_from_best_joint(
-                self.camera, self.ground, self._target_prior, self._usable_joints(detection)
-            )
-        target = self._new_track(ankle, is_target=True, prior=self._target_prior)
-
-        spawned = [(target.id, idx)]
-        unmatched = []
-        for j, det in enumerate(detections):
-            if j == idx:
-                continue
-            track = self._spawn_from_detection(det)
-            if track is None:
-                unmatched.append(j)
-            else:
-                spawned.append((track.id, j))
-
-        return FrameResult(
-            timestamp=frame.timestamp,
-            status=SessionStatus.TRACKING,
-            target_location=self._robot_location(target),
-            target_box=detection.box,
-            tracks=tuple(t.snapshot() for t in self._tracks),
-            matches=(),
-            spawned=tuple(spawned),
-            unmatched_detections=tuple(unmatched),
-        )
-
-    def _pick_target_candidate(
-        self, frame: Frame, detections: List[Detection]
-    ) -> Optional[int]:
-        hint = frame.reid_target_hint
-        if hint is not None and 0 <= hint < len(detections):
-            if self._candidate_usable(detections[hint]):
-                return hint
-            return None
-        for idx, det in enumerate(detections):
-            if self._candidate_usable(det):
-                return idx
-        return None
-
-    def _candidate_usable(self, detection: Detection) -> bool:
-        if self._target_prior is None:
-            return all(kind in detection.joints for kind in JOINT_ORDER)
-        return bool(self._usable_joints(detection))
-
-    def _spawn_from_detection(self, detection: Detection) -> Optional[_Track]:
-        joints = self._usable_joints(detection)
-        if not joints:
-            return None
-        default_prior = PriorModel()
-        try:
-            ankle, _ = init_from_best_joint(self.camera, self.ground, default_prior, joints)
-        except NoUsableJointError:
-            return None
-        return self._new_track(ankle, is_target=False, prior=default_prior)
-
-    def _track_frame(self, frame: Frame, dt: float) -> FrameResult:
         detections = list(frame.detections)
         target = self.target
+        acquired, target_ankle = self._acquire(frame, detections, target)
 
         # A track is named by its row in active, in the filter arrays and in match_gnn.
         active = [t for t in self._tracks if t.status is not TrackStatus.LOST]
-        means, covs = predict_batch(
-            np.array([t.state.s for t in active]).reshape(-1, STATE_DIM),
-            np.array([t.state.P for t in active]).reshape(-1, STATE_DIM, STATE_DIM),
-            dt,
-            self.config.ukf,
-        )
-        too_close, boxes = expected_boxes(
-            means, [t.prior.body_width for t in active], self.camera, self.ground
-        )
-        close = too_close.tolist()
-
-        reserved = None
-        if (
-            target.status is TrackStatus.LOST
-            and frame.reid_target_hint is not None
-            and 0 <= frame.reid_target_hint < len(detections)
-        ):
-            reserved = frame.reid_target_hint
+        means, covs, close, boxes = (), (), [], ()
+        if active:
+            # Tracks exist only after a first frame, so last_t is set.
+            means, covs = predict_batch(
+                np.array([t.state.s for t in active]).reshape(-1, STATE_DIM),
+                np.array([t.state.P for t in active]).reshape(-1, STATE_DIM, STATE_DIM),
+                frame.timestamp - last_t,
+                self.config.ukf,
+            )
+            too_close, boxes = expected_boxes(
+                means, [t.prior.body_width for t in active], self.camera, self.ground
+            )
+            close = too_close.tolist()
 
         assoc = match_gnn(
             list(zip([row for row, c in enumerate(close) if not c], boxes)),
             [d.box for d in detections],
             gate=self.config.gate_px,
-            forbidden_detections=None if reserved is None else [reserved],
+            forbidden_detections=None if acquired is None else [acquired],
         )
 
         matches: List[Tuple[int, int]] = []
@@ -516,45 +445,42 @@ class TrackingSession:
                     if not track.is_target:
                         dead.append(track)
 
+        # The target takes the acquired detection: a new target is reported
+        # as spawned, a Lost one that re-initializes as matched.
         spawned: List[Tuple[int, int]] = []
         unmatched: List[int] = []
+        if target_ankle is not None:
+            if target is None:
+                target = self._new_track(target_ankle, is_target=True, prior=self._target_prior)
+                spawned.append((target.id, acquired))
+            else:
+                target.state = self._initial_state(target_ankle)
+                target.status = TrackStatus.CONFIRMED
+                target.misses = 0
+                target.consecutive_hits = 1
+                matches.append((target.id, acquired))
+            matched_target_box = detections[acquired].box
+        elif acquired is not None:
+            unmatched.append(acquired)
+
+        # Spawning waits for a target, so that it gets the lowest id.
         for j in assoc.unmatched_detections:
-            track = self._spawn_from_detection(detections[j])
-            if track is None:
+            ankle = None if target is None else self._locate(detections[j], _DEFAULT_PRIOR)
+            if ankle is None:
                 unmatched.append(j)
             else:
+                track = self._new_track(ankle, is_target=False, prior=_DEFAULT_PRIOR)
                 spawned.append((track.id, j))
 
-        if reserved is not None:
-            joints = self._usable_joints(detections[reserved])
-            reinitialized = False
-            if joints:
-                try:
-                    ankle, _ = init_from_best_joint(
-                        self.camera, self.ground, target.prior, joints
-                    )
-                    target.state = self._initial_state(ankle)
-                    target.status = TrackStatus.CONFIRMED
-                    target.misses = 0
-                    target.consecutive_hits = 1
-                    matches.append((target.id, reserved))
-                    matched_target_box = detections[reserved].box
-                    reinitialized = True
-                except NoUsableJointError:
-                    pass
-            if not reinitialized:
-                unmatched.append(reserved)
-
-        tracking = target.status is not TrackStatus.LOST
-        target_box = None
-        if tracking:
-            target_box = matched_target_box or self._coast_box(target)
-
+        tracking = target is not None and target.status is not TrackStatus.LOST
+        status = SessionStatus.TRACKING if tracking else SessionStatus.LOST
+        if target is None:
+            status = SessionStatus.UNINITIALIZED
         result = FrameResult(
             timestamp=frame.timestamp,
-            status=SessionStatus.TRACKING if tracking else SessionStatus.LOST,
+            status=status,
             target_location=self._robot_location(target) if tracking else None,
-            target_box=target_box,
+            target_box=(matched_target_box or self._coast_box(target)) if tracking else None,
             tracks=tuple(t.snapshot() for t in self._tracks),
             matches=tuple(matches),
             spawned=tuple(spawned),
@@ -564,8 +490,51 @@ class TrackingSession:
             self._tracks.remove(track)
         return result
 
+    def _acquire(
+        self, frame: Frame, detections: List[Detection], target: Optional[_Track]
+    ) -> Tuple[Optional[int], Optional[np.ndarray]]:
+        """The index of the detection that (re)acquires the target, kept out
+        of matching, and the ankle placing the target there (None if it
+        cannot). Without a target the hinted detection is tried, or with no
+        hint in range each detection in order until one places it; a Lost
+        target tries the hinted one; a live target acquires nothing."""
+        hint = frame.reid_target_hint
+        if hint is not None and not 0 <= hint < len(detections):
+            hint = None
+        if target is None:
+            candidates = range(len(detections)) if hint is None else (hint,)
+        elif target.status is TrackStatus.LOST and hint is not None:
+            candidates = (hint,)
+        else:
+            return None, None
+        for idx in candidates:
+            ankle = self._place(detections[idx])
+            if ankle is not None:
+                return idx, ankle
+        return hint, None
 
-def _tilt_of(ground: GroundPlane) -> float:
-    """Recover the pitch angle implied by a tilt-constructed ground normal."""
-    n = ground.normal
-    return float(np.arctan2(-n[2], -n[1]))
+    def _place(self, detection: Detection) -> Optional[np.ndarray]:
+        """Camera-frame ankle placing the target at detection, or None. Without
+        a target prior only a full-body detection can place it, and its fit
+        becomes the prior; with one, any usable joint can."""
+        if self._target_prior is not None:
+            return self._locate(detection, self._target_prior)
+        if not all(kind in detection.joints for kind in JOINT_ORDER):
+            return None
+        obs = FullBodyObservation(joints=detection.joint_pixels())
+        try:
+            ankle, self._target_prior, _ = construct_prior(self.camera, self.ground, obs)
+        except FIT_ERRORS:
+            return None
+        return ankle
+
+    def _locate(self, detection: Detection, prior: PriorModel) -> Optional[np.ndarray]:
+        """Camera-frame ankle of a person with prior at detection, cast from
+        its best usable joint; None if no usable joint admits a ray cast."""
+        joints = self._usable_joints(detection)
+        if not joints:
+            return None
+        try:
+            return init_from_best_joint(self.camera, self.ground, prior, joints)[0]
+        except NoUsableJointError:
+            return None

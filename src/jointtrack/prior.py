@@ -53,6 +53,16 @@ LM_MAX_ITERATIONS = 100
 LM_STEP_TOL = 1e-10
 LM_COST_TOL = 1e-12
 
+#: What construct_prior raises for an observation it cannot fit: the
+#: solver's failures and those of the initial ankle ray cast.
+FIT_ERRORS = (
+    SolverDivergedError,
+    AnatomicalOrderError,
+    DegenerateRayError,
+    BehindCameraError,
+    JointAtCameraHeightError,
+)
+
 
 @dataclass(frozen=True)
 class PriorModel:
@@ -191,6 +201,8 @@ def construct_prior(
     Raises:
         SolverDivergedError: no convergence within the iteration budget.
         AnatomicalOrderError: converged heights are not ordered.
+        DegenerateRayError, BehindCameraError, JointAtCameraHeightError:
+            the ankle pixel's ray cast, which seeds the fit, fails.
     """
     if init is None:
         init = PriorModel()

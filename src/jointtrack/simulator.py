@@ -35,6 +35,7 @@ from .geometry import (
     project_points,
     robot_to_camera,
 )
+from .prior import DEFAULT_BODY_WIDTH, DEFAULT_HEIGHTS
 
 MAX_WALK_SPEED = 3.0  # m/s, jogging at most
 
@@ -166,10 +167,10 @@ class PersonSpec:
     """True joint heights, body width and path of one simulated person."""
 
     trajectory: Trajectory
-    h_neck: float = 1.40
-    h_hip: float = 0.95
-    h_knee: float = 0.50
-    body_width: float = 0.5
+    h_neck: float = DEFAULT_HEIGHTS[0]
+    h_hip: float = DEFAULT_HEIGHTS[1]
+    h_knee: float = DEFAULT_HEIGHTS[2]
+    body_width: float = DEFAULT_BODY_WIDTH
 
     def heights(self) -> Dict[JointKind, float]:
         return {
@@ -234,10 +235,10 @@ class Scenario:
         persons = tuple(
             PersonSpec(
                 trajectory=trajectory_from_dict(p["trajectory"]),
-                h_neck=float(p.get("h_neck", 1.40)),
-                h_hip=float(p.get("h_hip", 0.95)),
-                h_knee=float(p.get("h_knee", 0.50)),
-                body_width=float(p.get("body_width", 0.5)),
+                h_neck=float(p.get("h_neck", DEFAULT_HEIGHTS[0])),
+                h_hip=float(p.get("h_hip", DEFAULT_HEIGHTS[1])),
+                h_knee=float(p.get("h_knee", DEFAULT_HEIGHTS[2])),
+                body_width=float(p.get("body_width", DEFAULT_BODY_WIDTH)),
             )
             for p in data["persons"]
         )

@@ -129,6 +129,26 @@ def test_bench_runs_and_is_deterministic(workspace, capsys):
     }
 
 
+# summary.csv of `jointtrack bench` on the committed scenarios/. A refactor
+# must leave it as it is; a change that moves quality on purpose updates
+# these rows and says so.
+BENCH_SUMMARY = """\
+sequence,ALE_m,recall,WLE_m,accuracy
+seq1_approach,0.0442,1.0000,0.0442,1.0000
+seq2_crossing,0.0855,1.0000,0.0855,1.0000
+seq3_sway,0.0570,1.0000,0.0570,1.0000
+seq4_arc,0.0831,0.9875,0.0841,0.9875
+"""
+
+
+def test_bench_quality_on_committed_scenarios(tmp_path, capsys):
+    scen_dir = Path(__file__).resolve().parent.parent / "scenarios"
+    assert main(["bench", "--scenario-dir", str(scen_dir), "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "summary.csv").read_text() == BENCH_SUMMARY
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert printed == [line.split(",") for line in BENCH_SUMMARY.splitlines()]
+
+
 def test_bench_empty_dir_errors(workspace):
     empty = workspace / "none"
     empty.mkdir()

@@ -410,6 +410,75 @@ class TestPreloadedPrior:
         assert err < 1e-6
 
 
+def two_person_stream():
+    """Two walking people, fully visible and never hinted; person 0's neck
+    pixel reads as NaN in the first frame."""
+    dets, truth = single_person_stream(
+        persons=(
+            PersonSpec(trajectory=LineTrajectory(start=(5.0, 0.3), velocity=(-0.3, 0.05))),
+            PersonSpec(
+                trajectory=LineTrajectory(start=(4.0, -1.0), velocity=(0.0, 0.2)), h_neck=1.5
+            ),
+        ),
+        duration=1.0,
+    )
+    stream = [json.loads(json.dumps(r)) for r in dets]
+    for rec in stream:
+        rec.pop("reid_hint", None)
+    assert [d["person"] for d in stream[0]["detections"]] == [0, 1]
+    stream[0]["detections"][0]["joints"]["neck"][0] = None
+    return stream, truth
+
+
+class TestBadFirstFrame:
+    """A first candidate whose fit or ray cast fails is skipped, not fatal."""
+
+    def test_tracks_from_second_detection(self):
+        from jointtrack.errors import SolverDivergedError
+        from jointtrack.prior import FullBodyObservation, construct_prior
+
+        stream, truth = two_person_stream()
+        frame = detection_frame_from_record(stream[0], RunConfig().min_confidence)
+        obs = FullBodyObservation(joints=frame.detections[0].joint_pixels())
+        with pytest.raises(SolverDivergedError):
+            construct_prior(SETUP.camera, SETUP.ground, obs)
+
+        results = run_stream(stream)
+        first = results[0]
+        assert first.status is SessionStatus.TRACKING
+        assert first.spawned[0] == (1, 1)
+        assert [t.id for t in first.tracks if t.is_target] == [1]
+        assert first.target_box == BoundingBox(*stream[0]["detections"][1]["box"])
+        errors = [
+            np.linalg.norm(res.target_location - np.array(tr["persons"][1]["xy"]))
+            for res, tr in zip(results, truth)
+        ]
+        assert errors[0] < 1e-6
+        assert max(errors) < 0.05  # the other person is more than 1 m away
+
+    def test_hinted_bad_detection_stays_uninitialized(self):
+        stream, truth = two_person_stream()
+        stream[0]["reid_hint"] = stream[1]["reid_hint"] = 0
+        results = run_stream(stream)
+        assert results[0].status is SessionStatus.UNINITIALIZED
+        assert results[0].tracks == () and results[0].spawned == ()
+        assert results[0].unmatched_detections == (0, 1)
+        assert results[1].status is SessionStatus.TRACKING
+        assert results[1].spawned[0] == (1, 0)
+        err = np.linalg.norm(results[1].target_location - np.array(truth[1]["persons"][0]["xy"]))
+        assert err < 1e-3
+
+    def test_preloaded_prior_skips_detection_without_usable_joint(self):
+        stream, truth = two_person_stream()
+        for name in ("hip", "knee", "ankle"):
+            del stream[0]["detections"][0]["joints"][name]
+        results = run_stream(stream, config=RunConfig(prior=PriorModel(h_neck=1.5)))
+        assert results[0].status is SessionStatus.TRACKING
+        assert results[0].spawned[0] == (1, 1)
+        err = np.linalg.norm(results[0].target_location - np.array(truth[0]["persons"][1]["xy"]))
+        assert err < 1e-6
+
+
 class TestUseJointsRestriction:
     def test_neck_only_updates_lose_target_when_neck_clipped(self):
         # Progressive approach: once the neck leaves the frame, a

@@ -10,8 +10,10 @@ input, every frame must keep the session's promises:
 - a frame that reports Tracking has a finite target_xy, and only then one;
 - matches, spawned and unmatched_detections partition the detections;
 - track ids are unique;
-- only JointTrackError subclasses escape, and after one the session goes on
-  to accept the next frame.
+- only NonMonotonicTimestampError escapes, for a frame whose timestamp is
+  not finite or does not advance, and after one the session goes on to
+  accept the next frame. A detection that cannot place the target,
+  whatever its pixels, is skipped rather than raised.
 """
 
 import math
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from jointtrack.association import BoundingBox
 from jointtrack.config import CameraSetup, RunConfig
-from jointtrack.errors import JointTrackError
+from jointtrack.errors import NonMonotonicTimestampError
 from jointtrack.geometry import JOINT_ORDER, joint_position, project_points
 from jointtrack.pipeline import Detection, Frame, JointDetection, SessionStatus, TrackingSession
 from jointtrack.prior import PriorModel
@@ -141,15 +143,20 @@ def test_process_frame_keeps_its_promises(frames, preloaded_prior):
     config = RunConfig(prior=PriorModel() if preloaded_prior else None)
     session = TrackingSession(SETUP.camera, SETUP.ground, config, SETUP.extrinsics)
     latest = -1.0  # before every drawn timestamp
+    accepted = None  # the session's last accepted timestamp
     for frame in frames:
-        if math.isfinite(frame.timestamp):
-            latest = max(latest, frame.timestamp)
+        t = frame.timestamp
+        if math.isfinite(t):
+            latest = max(latest, t)
         try:
             result = session.process_frame(frame)
-        except JointTrackError:
+        except NonMonotonicTimestampError:
+            assert not math.isfinite(t) or (accepted is not None and t <= accepted)
             # The session takes the next frame, here one with no detections.
             latest += 0.04
             probe = Frame(timestamp=latest)
             check_result(probe, session.process_frame(probe))
+            accepted = latest
             continue
+        accepted = t
         check_result(frame, result)
