@@ -15,7 +15,6 @@ prior model may be embedded under "prior" to skip full-body bootstrapping:
     {
       "gate_px": 80.0, "max_misses": 15, "confirm_hits": 3,
       "tentative_max_misses": 3, "min_confidence": 0.3,
-      "body_width_m": 0.5,
       "use_joints": ["neck", "hip", "knee", "ankle"],
       "initial_position_sigma_m": 0.5, "initial_velocity_sigma_ms": 1.0,
       "ukf": {"alpha": 0.5, "beta": 2.0, "kappa": 0.0,

@@ -27,11 +27,16 @@ A frame's result counts as recognized ("Tracking") while the target track
 is alive, including short coasting stretches without a matched detection,
 whose box comes from the state through geometry's measurement model.
 Steps 2-4 each make one call for all tracks (predict_batch, expected_boxes,
-update_batch), and each track gets its new TrackState once per frame.
+update_batch). A matched detection's measurement is built in one pass over
+the joints in measurement order, from the JointDetection pixels that pass
+use_joints and min_confidence. The accepted posteriors go back into the
+predicted stacks, and one ukf.track_states call turns the stacks into every
+live track's new TrackState.
 
 Sessions are single-writer state machines: process_frame calls must be
 serialized per session, while distinct sessions are independent. Returned
-FrameResult values are immutable snapshots.
+FrameResult values are immutable snapshots: every state's arrays are views
+of a read-only stack, which cannot be made writeable.
 """
 
 import math
@@ -67,7 +72,7 @@ from .prior import (
     construct_prior,
     init_from_best_joint,
 )
-from .ukf import STATE_DIM, TrackState, measurement_from_joints, predict_batch, update_batch
+from .ukf import TrackState, predict_batch, track_states, update_batch
 
 
 class TrackStatus(Enum):
@@ -302,7 +307,7 @@ class TrackingSession:
                 self.config.initial_velocity_sigma**2,
             ]
         )
-        return TrackState(s=np.array([gx, gy, 0.0, 0.0]), P=p0)
+        return track_states(np.array([[gx, gy, 0.0, 0.0]]), p0[None])[0]
 
     def _new_track(self, ankle_camera: np.ndarray, is_target: bool, prior: PriorModel) -> _Track:
         track = _Track(
@@ -318,12 +323,25 @@ class TrackingSession:
         return track
 
     def _usable_joints(self, detection: Detection) -> Dict[JointKind, np.ndarray]:
-        allowed, min_confidence = self._use_joints, self.config.min_confidence
-        return {
-            kind: obs.pixel
-            for kind, obs in detection.joints.items()
-            if kind in allowed and obs.confidence >= min_confidence
-        }
+        """The pixels of detection's joints in use_joints with at least
+        min_confidence, keyed in measurement order (JOINT_ORDER)."""
+        joints, allowed = detection.joints, self._use_joints
+        min_confidence = self.config.min_confidence
+        usable = {}
+        for kind in JOINT_ORDER:
+            if kind in joints and kind in allowed:
+                obs = joints[kind]
+                if obs.confidence >= min_confidence:
+                    usable[kind] = obs.pixel
+        return usable
+
+    def _measurement(self, detection: Detection) -> Optional[Tuple[np.ndarray, List[JointKind]]]:
+        """(z, kinds) for update_batch: detection's usable joint pixels
+        stacked in measurement order, and their kinds; None if none is usable."""
+        joints = self._usable_joints(detection)
+        if not joints:
+            return None
+        return np.concatenate(list(joints.values())), list(joints)
 
     def _robot_location(self, track: _Track) -> np.ndarray:
         ankle = self.ground.to_camera(track.state.s[0], track.state.s[1])
@@ -364,8 +382,8 @@ class TrackingSession:
         if active:
             # Tracks exist only after a first frame, so last_t is set.
             means, covs = predict_batch(
-                np.array([t.state.s for t in active]).reshape(-1, STATE_DIM),
-                np.array([t.state.P for t in active]).reshape(-1, STATE_DIM, STATE_DIM),
+                np.array([t.state.s for t in active]),
+                np.array([t.state.P for t in active]),
                 frame.timestamp - last_t,
                 self.config.ukf,
             )
@@ -389,9 +407,9 @@ class TrackingSession:
         # update fails, or whose posterior is not finite, keeps its prediction.
         measured: Dict[int, Tuple[np.ndarray, List[JointKind]]] = {}
         for row, j, _dist in assoc.matches:
-            joints = self._usable_joints(detections[j])
-            if joints:
-                measured[row] = measurement_from_joints(joints)
+            measurement = self._measurement(detections[j])
+            if measurement is not None:
+                measured[row] = measurement
         updated: Set[int] = set()
         if measured:
             rows = sorted(measured)
@@ -404,13 +422,16 @@ class TrackingSession:
                 [active[r].prior for r in rows],
                 self.config.ukf,
             )
+            # A row at a time: on a one-track frame, two fancy-index writes
+            # cost more than this loop.
             finite = np.isfinite(post_s).all(axis=1) & np.isfinite(post_p).all(axis=(1, 2))
             for r, s, p, error, ok in zip(rows, post_s, post_p, errors, finite):
                 if error is None and ok:
                     means[r], covs[r] = s, p
                     updated.add(r)
-        for track, s, p in zip(active, means, covs):
-            track.state = TrackState(s=s, P=p)
+        if active:
+            for track, state in zip(active, track_states(means, covs)):
+                track.state = state
 
         for row, j, _dist in assoc.matches:
             track = active[row]

@@ -201,12 +201,17 @@ def construct_prior(
     Raises:
         SolverDivergedError: no convergence within the iteration budget.
         AnatomicalOrderError: converged heights are not ordered.
-        DegenerateRayError, BehindCameraError, JointAtCameraHeightError:
-            the ankle pixel's ray cast, which seeds the fit, fails.
+        DegenerateRayError: some joint pixel is not finite (checked before
+            any step), or the ankle pixel's ray cast, which seeds the fit,
+            is degenerate.
+        BehindCameraError, JointAtCameraHeightError: that ray cast fails.
     """
     if init is None:
         init = PriorModel()
     observed = np.stack([obs.joints[k] for k in JOINT_ORDER])
+    for kind, finite in zip(JOINT_ORDER, np.isfinite(observed).all(axis=1).tolist()):
+        if not finite:
+            raise DegenerateRayError(f"{kind.label} pixel is not finite")
 
     ankle0 = localize_from_joint(camera, ground, obs.joints[JointKind.ANKLE], 0.0)
     gx0, gy0 = ground.to_ground(ankle0)

@@ -21,7 +21,10 @@ geometry.project_points in one call and solves for all of its gains with
 one batched solve. A track whose sigma points cross behind the camera, or
 whose covariance has no square root even with jitter, fails alone; every
 other track gets the same posterior as it would alone. predict, update and
-observe are the one-track calls of the same code.
+observe are the one-track calls of the same code. track_states turns the
+frame's (T, 4) means and (T, 4, 4) covariances into T TrackStates at once:
+one copy and one symmetry check per stack, by the rule TrackState applies
+to one row, and each state holds read-only views of its rows.
 
 The paper's own sequences follow one person, so most calls carry one
 track, and their cost is the number of numpy calls, not the arithmetic.
@@ -94,6 +97,37 @@ class TrackState:
     @property
     def velocity(self) -> np.ndarray:
         return self.s[GROUND_DIM:]
+
+
+def track_states(means: np.ndarray, covs: np.ndarray) -> List[TrackState]:
+    """TrackState(s=means[t], P=covs[t]) for every row t, built at once.
+
+    means is (T, 4) and covs (T, 4, 4). Each stack is copied once, C-ordered
+    float64, every covariance is checked in one pass by TrackState's rule,
+    and both copies are made read-only; state t then holds views of row t,
+    which cannot be made writeable again.
+
+    Raises:
+        ValueError: a stack has the wrong shape, or some covariance is not
+            symmetric.
+    """
+    s = np.array(means, dtype=float, order="C")
+    p = np.array(covs, dtype=float, order="C")
+    if s.ndim != 2 or s.shape[1] != STATE_DIM or p.shape != (len(s), STATE_DIM, STATE_DIM):
+        raise ValueError(f"expected (T, 4) means and (T, 4, 4) covs, got {s.shape} and {p.shape}")
+    # p - p^T is antisymmetric, so its row max is TrackState's max of |P - P^T|.
+    row_max = (p - p.transpose(0, 2, 1)).max(axis=(1, 2))
+    if any(m > COVARIANCE_SYMMETRY_TOL for m in row_max.tolist()):  # a NaN row max passes
+        raise ValueError("covariance must be symmetric")
+    s.flags.writeable = False
+    p.flags.writeable = False
+    states = []
+    for row_s, row_p in zip(s, p):
+        state = object.__new__(TrackState)  # the rows are checked above
+        object.__setattr__(state, "s", row_s)
+        object.__setattr__(state, "P", row_p)
+        states.append(state)
+    return states
 
 
 @dataclass(frozen=True)

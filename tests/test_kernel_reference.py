@@ -8,6 +8,11 @@ prior heights rebuilt on every call, np.any and np.swapaxes, unconditional
 mask copies, np.isin for blocked columns). Cutting calls must not change a
 result: on every drawn input both sides return the same arrays, bit for bit
 (NaN payloads and signed zeros included), or raise the same exception type.
+
+The same holds for the work the pipeline now does once for all tracks:
+ukf.track_states against one TrackState per row, and a matched detection's
+update measurement against the per-joint filter followed by
+ukf.measurement_from_joints.
 """
 
 import struct
@@ -24,6 +29,7 @@ from jointtrack.association import (
     _gated_costs,
     expected_boxes,
 )
+from jointtrack.config import CameraSetup, RunConfig
 from jointtrack.errors import (
     BehindCameraError,
     NonPositiveDepthError,
@@ -40,6 +46,7 @@ from jointtrack.geometry import (
     joint_position,
     project_points,
 )
+from jointtrack.pipeline import Detection, JointDetection, TrackingSession
 from jointtrack.prior import PriorModel
 from jointtrack.ukf import (
     CHOLESKY_JITTER,
@@ -48,7 +55,9 @@ from jointtrack.ukf import (
     TrackState,
     UkfParams,
     _project_joints,
+    measurement_from_joints,
     predict_batch,
+    track_states,
     update_batch,
 )
 
@@ -581,3 +590,190 @@ def test_track_state_symmetry_limit(delta):
     kind, _ = assert_same(ref_track_state, _track_state_fields, np.zeros(4), P)
     # Above the tolerance is asymmetric; a NaN passes, as the max is NaN.
     assert (kind == "raised") == (delta > COVARIANCE_SYMMETRY_TOL)
+
+
+# -- ukf.track_states ------------------------------------------------------------
+
+
+def ref_track_states(means, covs):
+    """One TrackState per row, as the pipeline built them."""
+    return [_track_state_fields(s, P) for s, P in zip(means, covs)]
+
+
+def _track_states_fields(means, covs):
+    return [(state.s, state.P) for state in track_states(means, covs)]
+
+
+def _strided(stack):
+    """stack's values in a view that is not C-contiguous, as predict_batch
+    returns its means."""
+    holder = np.zeros(stack.shape + (2,))
+    holder[..., 0] = stack
+    return holder[..., 0]
+
+
+@st.composite
+def state_stacks(draw):
+    """(T, 4) means and (T, 4, 4) covariances with NaN, inf and -0.0 drawn
+    in, some rows asymmetric, in the layouts a caller may pass."""
+    n = draw(st.integers(0, 5))
+    means = np.array(
+        [draw(st.lists(finite_or_special(-5.0, 5.0), min_size=4, max_size=4)) for _ in range(n)]
+    ).reshape(n, STATE_DIM)
+    covs = np.array([draw(covariances()) for _ in range(n)]).reshape(n, STATE_DIM, STATE_DIM)
+    for t in range(n):
+        if draw(st.booleans()):  # a symmetric -0.0 pair
+            i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+            covs[t, i, j] = covs[t, j, i] = -0.0
+    layout = draw(st.sampled_from(["plain", "plain", "strided", "fortran", "list", "int"]))
+    if layout == "strided":
+        return _strided(means), _strided(covs)
+    if layout == "fortran":
+        return np.asfortranarray(means), np.asfortranarray(covs)
+    if layout == "list" and n:
+        return means.tolist(), covs.tolist()
+    if layout == "int":
+        return np.arange(4 * n).reshape(n, 4), np.broadcast_to(np.eye(4, dtype=np.int64), (n, 4, 4))
+    return means, covs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(state_stacks())
+def test_track_states_match_one_track_state_per_row(stacks):
+    means, covs = stacks
+    kind, _ = assert_same(ref_track_states, _track_states_fields, means, covs)
+    if kind == "returned":
+        for state in track_states(means, covs):
+            assert type(state) is TrackState
+            for field in (state.s, state.P):
+                assert not np.shares_memory(field, means) and not np.shares_memory(field, covs)
+                with pytest.raises(ValueError):
+                    field.flags.writeable = True
+
+
+def test_track_states_reject_an_asymmetric_row():
+    covs = np.array([np.eye(4)] * 3)
+    # A row with a NaN passes, even if it is also asymmetric, as in TrackState ...
+    covs[0, 0, 1] = np.nan
+    covs[0, 2, 3] += 1.0
+    TrackState(s=np.zeros(4), P=covs[0])
+    covs[2, 3, 1] += np.nextafter(COVARIANCE_SYMMETRY_TOL, 1.0)  # ... and hides no other row
+    with pytest.raises(ValueError, match="symmetric"):
+        track_states(np.zeros((3, 4)), covs)
+    with pytest.raises(ValueError, match="symmetric"):
+        TrackState(s=np.zeros(4), P=covs[2])
+    covs[2, 3, 1] = COVARIANCE_SYMMETRY_TOL  # at the tolerance is symmetric
+    assert len(track_states(np.zeros((3, 4)), covs)) == 3
+
+
+def test_track_states_empty_batch_and_shapes():
+    assert track_states(np.empty((0, 4)), np.empty((0, 4, 4))) == []
+    for means, covs in [
+        (np.zeros((2, 4)), np.zeros((3, 4, 4))),
+        (np.zeros((2, 3)), np.zeros((2, 3, 3))),
+        (np.zeros(4), np.zeros((4, 4))),
+        (np.zeros((1, 4, 1)), np.zeros((1, 4, 4))),
+        (np.zeros((1, 4)), np.zeros((1, 16))),
+        (0.0, np.zeros((1, 4, 4))),
+    ]:
+        with pytest.raises(ValueError, match="expected"):
+            track_states(means, covs)
+
+
+# -- a matched detection's update measurement --------------------------------------
+
+SETUP = CameraSetup.from_dict(
+    {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0, "image_width": 640,
+     "image_height": 480, "camera_height_m": 1.2, "tilt_rad": 0.1}
+)
+BOX = BoundingBox(u=400.0, v=300.0, w=80.0, h=260.0)
+
+
+def ref_measurement(config, detection):
+    """The usable joints as TrackingSession._usable_joints filtered them
+    (in the detection's own order), stacked by measurement_from_joints."""
+    allowed, min_confidence = frozenset(config.use_joints), config.min_confidence
+    joints = {
+        kind: obs.pixel
+        for kind, obs in detection.joints.items()
+        if kind in allowed and obs.confidence >= min_confidence
+    }
+    return measurement_from_joints(joints) if joints else None
+
+
+def _session_measurement(config, detection):
+    session = TrackingSession(SETUP.camera, SETUP.ground, config, SETUP.extrinsics)
+    return session._measurement(detection)
+
+
+def assert_same_measurement(config, detection):
+    """The session's measurement of detection, once it is checked against
+    the reference."""
+    assert_same(ref_measurement, _session_measurement, config, detection)
+    measurement = _session_measurement(config, detection)
+    if measurement is not None:
+        assert all(type(kind) is JointKind for kind in measurement[1])
+    return measurement
+
+
+@st.composite
+def measured_detections(draw):
+    """A run config and a detection whose joints are inserted in any order,
+    with confidences on, just off and far from min_confidence and pixels
+    that may be NaN, inf or -0.0, in arrays that are or are not contiguous."""
+    min_confidence = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    order, count = draw(st.permutations(JOINT_ORDER)), draw(st.integers(1, 4))
+    confidences = st.one_of(
+        st.sampled_from(
+            [0.0, 1.0, min_confidence, max(np.nextafter(min_confidence, -1.0), 0.0),
+             min(np.nextafter(min_confidence, 2.0), 1.0)]
+        ),
+        st.floats(0.0, 1.0),
+    )
+    joints = {}
+    for kind in draw(st.permutations(JOINT_ORDER)):
+        if draw(st.booleans()):
+            u, v = draw(finite_or_special(-50.0, 700.0)), draw(finite_or_special(-50.0, 700.0))
+            pixel = draw(st.sampled_from(["array", "strided", "list"]))
+            pixel = {
+                "array": np.array([u, v]),
+                "strided": np.array([u, 0.0, v])[::2],
+                "list": [u, v],
+            }[pixel]
+            joints[kind] = JointDetection(pixel=pixel, confidence=draw(confidences))
+    config = RunConfig(min_confidence=min_confidence, use_joints=order[:count])
+    return config, Detection(box=BOX, joints=joints)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(measured_detections())
+def test_measurement_matches_reference(case):
+    assert_same_measurement(*case)
+
+
+def test_measurement_named_cases():
+    pixels = {kind: np.array([100.0 + kind, -0.0]) for kind in JOINT_ORDER}
+    shuffled = [JointKind.ANKLE, JointKind.NECK, JointKind.KNEE, JointKind.HIP]
+
+    def detection(confidence):
+        return Detection(
+            box=BOX,
+            joints={k: JointDetection(pixel=pixels[k], confidence=confidence(k)) for k in shuffled},
+        )
+
+    # Inserted out of order: the measurement is in measurement order.
+    z, kinds = assert_same_measurement(RunConfig(), detection(lambda k: 0.9))
+    assert kinds == list(JOINT_ORDER)
+    assert z.tolist() == [100.0, 0.0, 101.0, 0.0, 102.0, 0.0, 103.0, 0.0]
+    # use_joints a subset, given out of order.
+    config = RunConfig(use_joints=(JointKind.ANKLE, JointKind.HIP))
+    _, kinds = assert_same_measurement(config, detection(lambda k: 0.9))
+    assert kinds == [JointKind.HIP, JointKind.ANKLE]
+    # A confidence exactly at min_confidence is kept, one just below it is not.
+    below = np.nextafter(0.3, 0.0)
+    config = RunConfig(min_confidence=0.3)
+    at_limit = (JointKind.NECK, JointKind.KNEE)
+    _, kinds = assert_same_measurement(config, detection(lambda k: 0.3 if k in at_limit else below))
+    assert kinds == list(at_limit)
+    # Nothing usable: no measurement.
+    assert assert_same_measurement(config, detection(lambda k: below)) is None

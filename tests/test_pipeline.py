@@ -434,13 +434,13 @@ class TestBadFirstFrame:
     """A first candidate whose fit or ray cast fails is skipped, not fatal."""
 
     def test_tracks_from_second_detection(self):
-        from jointtrack.errors import SolverDivergedError
+        from jointtrack.errors import DegenerateRayError
         from jointtrack.prior import FullBodyObservation, construct_prior
 
         stream, truth = two_person_stream()
         frame = detection_frame_from_record(stream[0], RunConfig().min_confidence)
         obs = FullBodyObservation(joints=frame.detections[0].joint_pixels())
-        with pytest.raises(SolverDivergedError):
+        with pytest.raises(DegenerateRayError):
             construct_prior(SETUP.camera, SETUP.ground, obs)
 
         results = run_stream(stream)
@@ -561,6 +561,33 @@ class TestNonTargetLifecycle:
         frame5 = {tr.id: tr for tr in results[5].tracks}
         assert frame5[ghost_id].status is TrackStatus.LOST
         assert all(tr.id != ghost_id for tr in results[6].tracks)
+
+
+class TestFrameResultSnapshots:
+    def test_states_keep_their_bytes_and_cannot_be_made_writeable(self):
+        dets, _ = single_person_stream(
+            persons=(
+                PersonSpec(trajectory=LineTrajectory(start=(5.0, 0.5), velocity=(-0.3, 0.0))),
+                PersonSpec(trajectory=LineTrajectory(start=(4.0, -1.0), velocity=(0.0, 0.3))),
+            ),
+            duration=1.0,
+        )
+        config = RunConfig()
+        session = TrackingSession(SETUP.camera, SETUP.ground, config, SETUP.extrinsics)
+        kept = []
+        for record in dets:
+            frame = detection_frame_from_record(record, config.min_confidence)
+            result = session.process_frame(frame)
+            kept.append((result, [(t.state.s.tobytes(), t.state.P.tobytes()) for t in result.tracks]))
+        assert [len(result.spawned) for result, _ in kept[:2]] == [2, 0]
+        for result, saved in kept:
+            assert len(result.tracks) == 2
+            for track, state_bytes in zip(result.tracks, saved):
+                assert (track.state.s.tobytes(), track.state.P.tobytes()) == state_bytes
+                for field in (track.state.s, track.state.P):
+                    assert field.flags.c_contiguous and not field.flags.writeable
+                    with pytest.raises(ValueError):
+                        field.flags.writeable = True
 
 
 class TestOcclusionRobustness:

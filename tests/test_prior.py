@@ -8,8 +8,10 @@ the solver to invert that exactly (noiseless) or statistically (noisy).
 import numpy as np
 import pytest
 
+from jointtrack import prior as prior_module
 from jointtrack.errors import (
     AnatomicalOrderError,
+    DegenerateRayError,
     JointAtCameraHeightError,
     MissingJointError,
     NoUsableJointError,
@@ -179,6 +181,26 @@ class TestConstructPrior:
             CAM, ground, obs, init=PriorModel(body_width=0.62)
         )
         assert prior.body_width == 0.62
+
+    @pytest.mark.parametrize("kind", JOINT_ORDER, ids=lambda kind: kind.label)
+    @pytest.mark.parametrize(
+        "axis, value",
+        [(0, np.nan), (1, np.nan), (0, np.inf), (1, -np.inf)],
+        ids=["u-nan", "v-nan", "u-inf", "v-neg-inf"],
+    )
+    def test_non_finite_pixel_rejected_before_fitting(self, kind, axis, value, monkeypatch):
+        ground = ground_plane_from_tilt(1.4, 0.1)
+        pix = project_person(CAM, ground, 0.0, 4.0, (1.40, 0.95, 0.50))
+        pix[kind] = pix[kind].copy()
+        pix[kind][axis] = value
+
+        def no_fit(*args):
+            raise AssertionError("the fit started")
+
+        monkeypatch.setattr(prior_module, "localize_from_joint", no_fit)
+        monkeypatch.setattr(prior_module, "_residuals", no_fit)
+        with pytest.raises(DegenerateRayError, match=f"{kind.label} pixel is not finite"):
+            construct_prior(CAM, ground, FullBodyObservation(joints=pix))
 
 
 class TestInitFromBestJoint:
