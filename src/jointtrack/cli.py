@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from .config import CameraSetup, RunConfig, load_camera_config, load_run_config
-from .errors import JointTrackError
+from .errors import FileIoError, JointTrackError
+from .files import open_text, write_text
 from .metrics import (
     DEFAULT_CENTER_THRESHOLD_PX,
     localization_metrics,
@@ -65,10 +66,13 @@ def _cmd_track(args) -> int:
     return 0
 
 
+def _load_scenario(path) -> Scenario:
+    with open_text(path) as fh:
+        return Scenario.from_dict(json.load(fh))
+
+
 def _cmd_simulate(args) -> int:
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        scenario = Scenario.from_dict(json.load(fh))
-    detections, truth = generate(scenario)
+    detections, truth = generate(_load_scenario(args.scenario))
     write_jsonl(args.out_detections, detections)
     write_jsonl(args.out_truth, truth)
     print(f"simulated {len(detections)} frames")
@@ -96,13 +100,15 @@ def _cmd_bench(args) -> int:
         print(f"no scenario files in {scenario_dir}", file=sys.stderr)
         return 2
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FileIoError(f"cannot create {out_dir}: {exc.strerror or exc}") from exc
     config = load_run_config(args.config)
 
     rows: List[List[str]] = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            scenario = Scenario.from_dict(json.load(fh))
+        scenario = _load_scenario(path)
         detections, truth = generate(scenario)
         log = run_tracker(scenario.setup, config, detections)
         loc = localization_metrics(log, truth)
@@ -125,11 +131,7 @@ def _cmd_bench(args) -> int:
 
     header = ["sequence", "ALE_m", "recall", "WLE_m", "accuracy"]
     table = _format_table([header] + rows)
-    summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    write_text(out_dir / "summary.csv", "".join(",".join(row) + "\n" for row in [header] + rows))
     print(table)
     return 0
 

@@ -28,11 +28,11 @@ prior model may be embedded under "prior" to skip full-body bootstrapping:
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from .files import open_text, write_text
 from .geometry import (
     JOINT_ORDER,
     CameraModel,
@@ -175,17 +175,17 @@ class RunConfig:
 
 
 def load_camera_config(path) -> CameraSetup:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return CameraSetup.from_dict(json.load(fh))
 
 
 def load_run_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return RunConfig.from_dict(json.load(fh))
 
 
 def save_run_config(path, config: RunConfig) -> None:
     """Persist a run config (e.g. with a freshly fitted prior) for reuse."""
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(config.to_dict(), indent=2) + "\n")

@@ -80,6 +80,10 @@ class MalformedRecordError(JointTrackError):
     """A detection-stream record lacks a field or holds an invalid value."""
 
 
+class FileIoError(JointTrackError):
+    """A file could not be opened, read or written; the message names its path."""
+
+
 class EmptyScenarioError(JointTrackError):
     """Simulation scenario contains no persons."""
 
@@ -90,5 +94,5 @@ class TimestampMismatchError(JointTrackError):
     """Estimate and truth streams are not aligned on identical timestamps."""
 
 
-class ReportIoError(JointTrackError):
+class ReportIoError(FileIoError):
     """Writing a metrics report to disk failed."""

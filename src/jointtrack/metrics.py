@@ -19,6 +19,7 @@ are excluded from the denominator.
 """
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -26,7 +27,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ReportIoError, TimestampMismatchError
+from .errors import FileIoError, ReportIoError, TimestampMismatchError
+from .files import write_text
 
 DEFAULT_CENTER_THRESHOLD_PX = 50.0
 
@@ -177,21 +179,20 @@ def write_report(
         ReportIoError: the file could not be written.
         ValueError: unknown format.
     """
-    if fmt not in ("json", "csv"):
+    if fmt == "json":
+        payload = report_payload(localization, tracking)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    elif fmt == "csv":
+        text = _csv_text(localization, tracking)
+    else:
         raise ValueError(f"unknown report format {fmt!r}")
     try:
-        if fmt == "json":
-            payload = report_payload(localization, tracking)
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        else:
-            _write_csv(path, localization, tracking)
-    except OSError as exc:
-        raise ReportIoError(f"cannot write report to {path}: {exc}") from exc
+        write_text(path, text)
+    except FileIoError as exc:
+        raise ReportIoError(str(exc)) from exc
 
 
-def _write_csv(path, localization, tracking) -> None:
+def _csv_text(localization, tracking) -> str:
     loc_by_t: Dict[float, Tuple[str, Optional[float]]] = {}
     if localization is not None:
         loc_by_t = {t: (status, err) for t, status, err in localization.per_frame}
@@ -200,25 +201,26 @@ def _write_csv(path, localization, tracking) -> None:
         trk_by_t = {t: hit for t, hit in tracking.per_frame}
     times = sorted(set(loc_by_t) | set(trk_by_t))
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "status", "error_m", "box_hit"])
-        for t in times:
-            status, err = loc_by_t.get(t, ("", None))
-            hit = trk_by_t.get(t)
-            writer.writerow(
-                [
-                    f"{t:.6f}",
-                    status,
-                    "" if err is None else f"{err:.6f}",
-                    "" if hit is None else int(hit),
-                ]
-            )
-        summary = ["summary", "", "", ""]
-        if localization is not None:
-            wle = "inf" if not math.isfinite(localization.wle) else f"{localization.wle:.6f}"
-            summary[1] = f"ALE={localization.ale:.6f}"
-            summary[2] = f"recall={localization.recall:.6f};WLE={wle}"
-        if tracking is not None:
-            summary[3] = f"accuracy={tracking.accuracy:.6f}"
-        writer.writerow(summary)
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["t", "status", "error_m", "box_hit"])
+    for t in times:
+        status, err = loc_by_t.get(t, ("", None))
+        hit = trk_by_t.get(t)
+        writer.writerow(
+            [
+                f"{t:.6f}",
+                status,
+                "" if err is None else f"{err:.6f}",
+                "" if hit is None else int(hit),
+            ]
+        )
+    summary = ["summary", "", "", ""]
+    if localization is not None:
+        wle = "inf" if not math.isfinite(localization.wle) else f"{localization.wle:.6f}"
+        summary[1] = f"ALE={localization.ale:.6f}"
+        summary[2] = f"recall={localization.recall:.6f};WLE={wle}"
+    if tracking is not None:
+        summary[3] = f"accuracy={tracking.accuracy:.6f}"
+    writer.writerow(summary)
+    return out.getvalue()

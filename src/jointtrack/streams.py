@@ -38,6 +38,7 @@ from typing import Any, Dict, Iterable, List, Mapping
 
 from .association import BoundingBox
 from .errors import MalformedRecordError
+from .files import open_text, write_text
 from .pipeline import Detection, Frame, FrameResult, merge_joint_pairs
 
 
@@ -84,26 +85,35 @@ def result_to_record(result: FrameResult) -> Dict[str, Any]:
         record["target_xy"] = [float(result.target_location[0]), float(result.target_location[1])]
     if result.target_box is not None:
         record["target_box"] = result.target_box.to_list()
-    record["tracks"] = [
-        {
-            "id": tr.id,
-            "status": tr.status.value,
-            "is_target": tr.is_target,
-            "x": float(tr.state.s[0]),
-            "y": float(tr.state.s[1]),
-            "vx": float(tr.state.s[2]),
-            "vy": float(tr.state.s[3]),
-            "misses": tr.misses,
-        }
-        for tr in result.tracks
-    ]
+    tracks = []
+    for tr in result.tracks:
+        x, y, vx, vy = tr.state.s.tolist()
+        tracks.append(
+            {
+                "id": tr.id,
+                "status": tr.status.value,
+                "is_target": tr.is_target,
+                "x": x,
+                "y": y,
+                "vx": vx,
+                "vy": vy,
+                "misses": tr.misses,
+            }
+        )
+    record["tracks"] = tracks
     return record
 
 
 def write_jsonl(path, records: Iterable[Mapping[str, Any]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+    """Write one compact JSON value per line, through files.write_text.
+
+    Raises:
+        TypeError: a record holds a value JSON cannot encode (a set, a
+            numpy scalar); an existing file at path is then left as it was.
+        FileIoError: the file could not be written.
+    """
+    text = "".join([json.dumps(record, separators=(",", ":")) + "\n" for record in records])
+    write_text(path, text)
 
 
 def read_jsonl(path) -> List[Dict[str, Any]]:
@@ -112,9 +122,10 @@ def read_jsonl(path) -> List[Dict[str, Any]]:
     Raises:
         MalformedRecordError: a line is not valid JSON (for example, it was
             cut short); the message starts with its 1-based line number.
+        FileIoError: the file could not be opened.
     """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:

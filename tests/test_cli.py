@@ -112,7 +112,8 @@ def test_bench_runs_and_is_deterministic(workspace, capsys):
     (scen_dir / "b.json").write_text(json.dumps(second))
 
     outputs = []
-    for run in (1, 2):
+    # The third run writes over every file of the first one.
+    for run in (1, 2, 1):
         out_dir = workspace / f"bench{run}"
         assert main(["bench", "--scenario-dir", str(scen_dir), "--out-dir", str(out_dir)]) == 0
         stdout = capsys.readouterr().out
@@ -120,7 +121,7 @@ def test_bench_runs_and_is_deterministic(workspace, capsys):
             p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
         }
         outputs.append((stdout, files))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     assert "sequence" in outputs[0][0]
     assert set(outputs[0][1]) == {
         "a.detections.jsonl", "a.truth.jsonl", "a.log.jsonl", "a.report.json",
@@ -153,6 +154,52 @@ def test_bench_empty_dir_errors(workspace):
     empty = workspace / "none"
     empty.mkdir()
     assert main(["bench", "--scenario-dir", str(empty), "--out-dir", str(workspace / "out")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["track", "--camera", "{ws}/camera.json", "--input", "{ws}/none.jsonl",
+          "--output", "{ws}/log.jsonl"], "{ws}/none.jsonl"),
+        (["track", "--camera", "{ws}/camera.json", "--input", "{ws}/dets.jsonl",
+          "--output", "{ws}/missing/dir/log.jsonl"], "{ws}/missing/dir/log.jsonl"),
+        (["track", "--camera", "{ws}/none.json", "--input", "{ws}/dets.jsonl",
+          "--output", "{ws}/log.jsonl"], "{ws}/none.json"),
+        (["simulate", "--scenario", "{ws}/none.json", "--out-detections", "{ws}/d.jsonl",
+          "--out-truth", "{ws}/t.jsonl"], "{ws}/none.json"),
+        (["eval", "--estimates", "{ws}/log0.jsonl", "--truth", "{ws}/truth0.jsonl",
+          "--out", "{ws}/missing/report.json"], "{ws}/missing/report.json"),
+        (["bench", "--scenario-dir", "{ws}/suite", "--out-dir", "{ws}/dets.jsonl"],
+         "{ws}/dets.jsonl"),
+        (["bench", "--scenario-dir", "{ws}/dirs", "--out-dir", "{ws}/out"], "{ws}/dirs/a.json"),
+    ],
+    ids=[
+        "track-missing-input",
+        "track-output-in-missing-dir",
+        "track-missing-camera",
+        "simulate-missing-scenario",
+        "eval-report-in-missing-dir",
+        "bench-out-dir-is-a-file",
+        "bench-scenario-is-a-directory",
+    ],
+)
+def test_file_errors_are_reported_on_one_line(workspace, capsys, argv, named):
+    ws = str(workspace)
+    (workspace / "dets.jsonl").write_text('{"t":0.0,"detections":[]}\n')
+    (workspace / "log0.jsonl").write_text('{"t":0.0,"status":"Lost","tracks":[]}\n')
+    (workspace / "truth0.jsonl").write_text(
+        '{"t":0.0,"target_index":0,"persons":[{"xy":[2.0,0.0],"box":null}]}\n'
+    )
+    (workspace / "suite").mkdir()
+    (workspace / "suite" / "a.json").write_text(json.dumps(SCENARIO))
+    (workspace / "dirs" / "a.json").mkdir(parents=True)
+    assert main([arg.format(ws=ws) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"jointtrack {argv[0]}: error: cannot ")
+    assert named.format(ws=ws) in lines[0]
+    assert "Traceback" not in captured.err
 
 
 def _write_records(path, records):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import random
 import re
 import struct
@@ -247,6 +248,39 @@ class TestJsonl:
         path.write_text('{"t":0.0}\n\n{"t":0.1,\n')
         with pytest.raises(MalformedRecordError, match=r"^line 3: invalid JSON: "):
             read_jsonl(path)
+
+    @pytest.mark.parametrize("bad", [{1, 2}, np.float32(0.5)], ids=["set", "float32"])
+    def test_unencodable_record_leaves_existing_file_untouched(self, tmp_path, bad):
+        path = tmp_path / "stream.jsonl"
+        write_jsonl(path, [{"t": float(k)} for k in range(50)])
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_jsonl(path, [{"t": 0.0}, {"t": 1.0, "bad": bad}])
+        assert path.read_bytes() == before
+
+    def test_rewrite_with_fewer_records_leaves_no_old_tail(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        write_jsonl(path, [{"t": float(k), "note": "old"} for k in range(50)])
+        write_jsonl(path, [{"t": 9.0}])
+        assert path.read_bytes() == b'{"t":9.0}\n'
+
+    def test_symlink_stays_a_link_and_its_target_gets_the_new_bytes(self, tmp_path):
+        target = tmp_path / "target.jsonl"
+        link = tmp_path / "link.jsonl"
+        write_jsonl(target, [{"t": 0.0, "note": "old"}])
+        link.symlink_to(target)
+        write_jsonl(link, [{"t": 1.0}])
+        assert link.is_symlink()
+        assert target.read_bytes() == b'{"t":1.0}\n'
+
+    def test_hard_linked_file_is_written_through_both_names(self, tmp_path):
+        first = tmp_path / "first.jsonl"
+        second = tmp_path / "second.jsonl"
+        write_jsonl(first, [{"t": 0.0, "note": "old"}])
+        os.link(first, second)
+        write_jsonl(first, [{"t": 1.0}])
+        assert first.read_bytes() == second.read_bytes() == b'{"t":1.0}\n'
+        assert first.stat().st_ino == second.stat().st_ino
 
 
 # -- differential test against the numpy-per-keypoint ingest ------------------
