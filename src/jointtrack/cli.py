@@ -11,14 +11,13 @@ deterministic, byte for byte, given the same scenarios and config.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .config import CameraSetup, RunConfig, load_camera_config, load_run_config
+from .config import CameraSetup, RunConfig, load_camera_config, load_json, load_run_config
 from .errors import FileIoError, JointTrackError
-from .files import open_text, write_text
+from .files import write_text
 from .metrics import (
     DEFAULT_CENTER_THRESHOLD_PX,
     localization_metrics,
@@ -67,8 +66,7 @@ def _cmd_track(args) -> int:
 
 
 def _load_scenario(path) -> Scenario:
-    with open_text(path) as fh:
-        return Scenario.from_dict(json.load(fh))
+    return load_json(path, Scenario.from_dict)
 
 
 def _cmd_simulate(args) -> int:

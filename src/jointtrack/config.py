@@ -28,10 +28,11 @@ prior model may be embedded under "prior" to skip full-body bootstrapping:
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
+from .errors import ConfigError, JointTrackError
 from .files import open_text, write_text
 from .geometry import (
     JOINT_ORDER,
@@ -51,6 +52,8 @@ DEFAULT_TENTATIVE_MAX_MISSES = 3
 DEFAULT_MIN_CONFIDENCE = 0.3
 DEFAULT_INITIAL_POSITION_SIGMA = 0.5
 DEFAULT_INITIAL_VELOCITY_SIGMA = 1.0
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -174,16 +177,34 @@ class RunConfig:
         return out
 
 
-def load_camera_config(path) -> CameraSetup:
+def load_json(path, parse: Callable[[Any], T]) -> T:
+    """parse applied to the JSON value in the file at path.
+
+    Raises:
+        FileIoError: the file could not be opened.
+        ConfigError: the file is not JSON, or parse rejects its value (a
+            missing field, a value of the wrong type or out of range); the
+            message names the path and the cause.
+    """
     with open_text(path) as fh:
-        return CameraSetup.from_dict(json.load(fh))
+        try:
+            return parse(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        except KeyError as exc:
+            raise ConfigError(f"{path}: missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError, OverflowError, JointTrackError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+
+
+def load_camera_config(path) -> CameraSetup:
+    return load_json(path, CameraSetup.from_dict)
 
 
 def load_run_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
-    with open_text(path) as fh:
-        return RunConfig.from_dict(json.load(fh))
+    return load_json(path, RunConfig.from_dict)
 
 
 def save_run_config(path, config: RunConfig) -> None:

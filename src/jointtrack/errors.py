@@ -84,6 +84,11 @@ class FileIoError(JointTrackError):
     """A file could not be opened, read or written; the message names its path."""
 
 
+class ConfigError(JointTrackError):
+    """A camera, run config or scenario file holds invalid content; the
+    message names its path and the cause."""
+
+
 class EmptyScenarioError(JointTrackError):
     """Simulation scenario contains no persons."""
 

@@ -143,10 +143,6 @@ class CameraModel:
             [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
         )
 
-    def contains_pixel(self, pixel) -> bool:
-        u, v = float(pixel[0]), float(pixel[1])
-        return 0.0 <= u <= self.image_width - 1 and 0.0 <= v <= self.image_height - 1
-
 
 @dataclass(frozen=True, eq=False)
 class GroundPlane:
@@ -330,8 +326,12 @@ def camera_to_robot(point, extrinsics: RobotExtrinsics) -> np.ndarray:
 
 
 def robot_to_camera(point_robot, extrinsics: RobotExtrinsics) -> np.ndarray:
-    """Inverse of camera_to_robot for full 3D robot-frame points."""
+    """Inverse of camera_to_robot for full 3D robot-frame points.
+
+    point_robot has shape (..., 3), and so has the result: a batch of
+    points maps row by row, each row bit for bit as on its own.
+    """
     q = np.asarray(point_robot, dtype=float) - extrinsics.offset
-    x_l, y_l, z_l = -q[1], -q[2], q[0]
+    x_l, y_l, z_l = -q[..., 1], -q[..., 2], q[..., 0]
     c, s = math.cos(extrinsics.tilt), math.sin(extrinsics.tilt)
-    return np.array([x_l, c * y_l - s * z_l, s * y_l + c * z_l])
+    return np.stack([x_l, c * y_l - s * z_l, s * y_l + c * z_l], axis=-1)

@@ -15,6 +15,20 @@ function of the scenario, so a seed fixes the byte-exact output.
 
 Visibility is decided on the emitted (noisy) pixel: a published joint
 never lies outside the image or inside an occluder.
+
+generate renders in two passes. The first does everything the noise does
+not touch, once per scenario over arrays of (frames x persons): it asks
+each trajectory for its position frame by frame (the arc and sinusoid use
+math.cos and math.sin, whose last bit numpy may not share), then makes one
+robot_to_camera call for every ankle and one joint_position and one
+project_points call for every person in front of the camera, and finds
+each clean joint's visibility and each truth box with masks. The second
+pass walks frame by frame, person by person (only those in front of the
+camera) and joint by joint in JOINT_ORDER on plain floats, and draws the
+random numbers in this fixed order: the pixel noise, when
+pixel_noise_sigma > 0, then the dropout draw, only when the noisy pixel is
+visible. Which draws happen depends on the data, so this pass stays
+sequential; the seed's stream, and so every output byte, is fixed by it.
 """
 
 import math
@@ -214,8 +228,11 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rate <= 0 or self.duration <= 0:
-            raise ValueError("rate and duration must be positive")
+        # Checked before generate sizes its arrays from the frame count.
+        if not (0 < self.rate and 0 < self.duration and self.rate * self.duration < math.inf):
+            raise ValueError("rate and duration must be positive and finite")
+        if not 0 <= self.pixel_noise_sigma < math.inf:
+            raise ValueError("pixel_noise_sigma must be non-negative and finite")
         if self.noise_model not in ("gaussian", "student_t"):
             raise ValueError("noise_model must be 'gaussian' or 'student_t'")
         if self.box_mode not in ("visible", "full"):
@@ -263,49 +280,91 @@ class Scenario:
         )
 
 
-def _visible(camera: CameraModel, occluders: Sequence[Occluder], pixel: np.ndarray) -> bool:
-    if not camera.contains_pixel(pixel):
-        return False
-    return not any(occ.contains(pixel) for occ in occluders)
+# A person is rendered only while every joint lies deeper than this in
+# front of the camera (meters).
+MIN_RENDER_DEPTH = 1e-6
 
 
-def _ankle(setup: CameraSetup, xy_robot: np.ndarray) -> np.ndarray:
-    """Camera-frame ground point under robot ground coordinates (x, y)."""
-    ground_z = setup.extrinsics.offset[2] - setup.ground.gamma
-    return robot_to_camera([xy_robot[0], xy_robot[1], ground_z], setup.extrinsics)
+def _ankles(setup: CameraSetup, xy) -> np.ndarray:
+    """Camera-frame ground points under robot ground coordinates xy (..., 2)."""
+    xy = np.asarray(xy, dtype=float)
+    points = np.empty(xy.shape[:-1] + (3,))
+    points[..., :2] = xy
+    points[..., 2] = setup.extrinsics.offset[2] - setup.ground.gamma
+    return robot_to_camera(points, setup.extrinsics)
 
 
-def _project_joints(
-    setup: CameraSetup, person: PersonSpec, xy_robot: np.ndarray
-) -> Optional[Tuple[Dict[JointKind, np.ndarray], float]]:
-    """Noiseless pixel positions of all four joints and the person's depth,
-    or None when the ankle or any joint is behind the camera."""
-    ankle = _ankle(setup, xy_robot)
-    if ankle[2] <= 1e-6:
-        return None
-    heights = person.heights()
-    joints = joint_position(ankle, setup.ground, list(heights.values()))
-    if np.any(joints[:, 2] <= 1e-6):
-        return None
-    return dict(zip(heights, project_points(setup.camera, joints))), float(ankle[2])
+def _project_persons(
+    setup: CameraSetup, heights, xy
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Noiseless joint pixels of persons standing at robot ground points.
+
+    xy (..., 2) holds ground positions and heights (..., 4) joint heights
+    in JOINT_ORDER, the ankle's 0; the two broadcast together. Returns the
+    mask of the persons in front of the camera (every joint deeper than
+    MIN_RENDER_DEPTH) and, for those persons in order, their (4, 2) joint
+    pixels and ankle depths.
+    """
+    ankles = _ankles(setup, xy)
+    joints = joint_position(ankles[..., None, :], setup.ground, heights)
+    front = ~(joints[..., 2] <= MIN_RENDER_DEPTH).any(axis=-1)
+    return front, project_points(setup.camera, joints[front]), ankles[..., 2][front]
 
 
-def _box_from_pixels(
-    setup: CameraSetup,
-    pixels: Sequence[np.ndarray],
-    depth: float,
-    body_width: float,
+def _in_view(camera: CameraModel, occluders: Sequence[Occluder], u, v) -> np.ndarray:
+    """Mask of the pixel arrays (u, v) inside the image and in no occluder."""
+    seen = (0.0 <= u) & (u <= camera.image_width - 1)
+    seen &= (0.0 <= v) & (v <= camera.image_height - 1)
+    for occ in occluders:
+        seen &= ~((occ.u_min <= u) & (u <= occ.u_max) & (occ.v_min <= v) & (v <= occ.v_max))
+    return seen
+
+
+def _truth_boxes(
+    camera: CameraModel,
+    occluders: Sequence[Occluder],
+    pixels: np.ndarray,
+    half_w: np.ndarray,
+    v_pad: np.ndarray,
+) -> List[Optional[List[float]]]:
+    """Per person, the noiseless box around the joints in view, or None
+    when no joint is in view or the clipped box is empty.
+
+    pixels (M, 4, 2) are clean joint pixels; half_w and v_pad (M,) the
+    box's half width and vertical padding in pixels, as in _box.
+    """
+    boxes: List[Optional[List[float]]] = [None] * len(pixels)
+    u, v = pixels[..., 0], pixels[..., 1]
+    seen = _in_view(camera, occluders, u, v)
+    rows = np.flatnonzero(seen.any(axis=1))
+    # Only rows with a joint in view, so the masked extremes are finite.
+    seen, u, v, half_w, v_pad = seen[rows], u[rows], v[rows], half_w[rows], v_pad[rows]
+    u_lo = np.maximum(np.where(seen, u, np.inf).min(axis=1) - half_w, 0.0)
+    u_hi = np.minimum(np.where(seen, u, -np.inf).max(axis=1) + half_w, camera.image_width - 1.0)
+    v_lo = np.maximum(np.where(seen, v, np.inf).min(axis=1) - v_pad, 0.0)
+    v_hi = np.minimum(np.where(seen, v, -np.inf).max(axis=1) + v_pad, camera.image_height - 1.0)
+    keep = ~(u_hi <= u_lo) & ~(v_hi <= v_lo)
+    extents = np.stack(
+        [0.5 * (u_lo + u_hi), 0.5 * (v_lo + v_hi), u_hi - u_lo, v_hi - v_lo], axis=1
+    )
+    for row, box in zip(rows[keep].tolist(), extents[keep].tolist()):
+        boxes[row] = box
+    return boxes
+
+
+def _box(
+    camera: CameraModel, us: List[float], vs: List[float], half_w: float, v_pad: float
 ) -> Optional[List[float]]:
-    if not pixels:
-        return None
-    us = [p[0] for p in pixels]
-    vs = [p[1] for p in pixels]
-    half_w = 0.5 * setup.camera.fx * body_width / depth
-    v_pad = setup.camera.fy * BOX_V_PAD_M / depth
-    u_lo = max(min(us) - half_w, 0.0)
-    u_hi = min(max(us) + half_w, setup.camera.image_width - 1.0)
-    v_lo = max(min(vs) - v_pad, 0.0)
-    v_hi = min(max(vs) + v_pad, setup.camera.image_height - 1.0)
+    """Box around the pixels (us, vs), widened by half_w and v_pad and
+    clipped to the image, or None when that leaves it empty.
+
+    The extremes are taken as np.float64, so every value is np.float64
+    unless both of its sides were clipped to the image (then a float).
+    """
+    u_lo = max(np.float64(min(us)) - half_w, 0.0)
+    u_hi = min(np.float64(max(us)) + half_w, camera.image_width - 1.0)
+    v_lo = max(np.float64(min(vs)) - v_pad, 0.0)
+    v_hi = min(np.float64(max(vs)) + v_pad, camera.image_height - 1.0)
     if u_hi <= u_lo or v_hi <= v_lo:
         return None
     return [0.5 * (u_lo + u_hi), 0.5 * (v_lo + v_hi), u_hi - u_lo, v_hi - v_lo]
@@ -320,71 +379,81 @@ def generate(scenario: Scenario) -> Tuple[List[Dict[str, Any]], List[Dict[str, A
     """
     if not scenario.persons:
         raise EmptyScenarioError("scenario has no persons")
-    rng = np.random.default_rng(scenario.seed)
     setup = scenario.setup
+    camera = setup.camera
+    persons = scenario.persons
     n_frames = int(round(scenario.duration * scenario.rate))
+    times = [k / scenario.rate for k in range(n_frames)]
+
+    # Everything the noise does not touch, for all frames and persons at once.
+    xy = np.array(
+        [[person.trajectory.position(t) for person in persons] for t in times], dtype=float
+    ).reshape(n_frames, len(persons), 2)
+    heights = np.array([list(person.heights().values()) for person in persons])
+    front, pixels, depth = _project_persons(setup, heights, xy)
+    widths = np.broadcast_to([person.body_width for person in persons], front.shape)[front]
+    half_w = 0.5 * camera.fx * widths / depth
+    v_pad = camera.fy * BOX_V_PAD_M / depth
+    truth_boxes = _truth_boxes(camera, scenario.occluders, pixels, half_w, v_pad)
+    # One flat (u0, v0, ..., u3, v3) list per person: nested lists would leave
+    # five times as many objects for the garbage collector to promote.
+    clean_rows = pixels.reshape(len(pixels), 8).tolist()
+    rendered = iter(zip(clean_rows, truth_boxes, half_w.tolist(), v_pad.tolist()))
+
+    # The noise, in the draw order the module docstring fixes.
+    rng = np.random.default_rng(scenario.seed)
+    sigma = scenario.pixel_noise_sigma
+    gaussian = scenario.noise_model == "gaussian"
+    full_box = scenario.box_mode == "full"
+    occluders = scenario.occluders
+    u_last, v_last = camera.image_width - 1, camera.image_height - 1
+    joints = [(kind.label, scenario.joint_dropout.get(kind, 0.0)) for kind in JOINT_ORDER]
     hint_pending = scenario.emit_initial_hint
 
     detections_stream: List[Dict[str, Any]] = []
     truth_stream: List[Dict[str, Any]] = []
-
-    for k in range(n_frames):
-        t = k / scenario.rate
+    for t, frame_xy, frame_front in zip(times, xy.tolist(), front.tolist()):
         frame_detections: List[Dict[str, Any]] = []
         truth_persons: List[Dict[str, Any]] = []
         target_det_index: Optional[int] = None
 
-        for p_idx, person in enumerate(scenario.persons):
-            xy = person.trajectory.position(t)
-            projected = _project_joints(setup, person, xy)
-            truth_entry: Dict[str, Any] = {"xy": [float(xy[0]), float(xy[1])]}
-
-            if projected is None:
-                truth_entry["box"] = None
-                truth_persons.append(truth_entry)
+        for p_idx, (person_xy, in_front) in enumerate(zip(frame_xy, frame_front)):
+            if not in_front:
+                truth_persons.append({"xy": person_xy, "box": None})
                 continue
-
-            clean, depth = projected
-            clean_visible = {
-                kind: pix
-                for kind, pix in clean.items()
-                if _visible(setup.camera, scenario.occluders, pix)
-            }
-            truth_entry["box"] = _box_from_pixels(
-                setup, list(clean_visible.values()), depth, person.body_width
-            )
-            truth_persons.append(truth_entry)
+            clean, truth_box, half_width, pad = next(rendered)
+            truth_persons.append({"xy": person_xy, "box": truth_box})
 
             emitted: Dict[str, List[float]] = {}
-            emitted_pixels: List[np.ndarray] = []
-            for kind in JOINT_ORDER:
-                pix = clean[kind]
-                if scenario.pixel_noise_sigma > 0:
-                    if scenario.noise_model == "gaussian":
-                        noise = rng.normal(0.0, scenario.pixel_noise_sigma, size=2)
+            us: List[float] = []
+            vs: List[float] = []
+            for (label, dropout), u, v in zip(joints, clean[0::2], clean[1::2]):
+                if sigma > 0:
+                    if gaussian:
+                        du, dv = rng.normal(0.0, sigma, size=2).tolist()
                     else:
-                        noise = scenario.pixel_noise_sigma * rng.standard_t(3, size=2)
-                    pix = pix + noise
-                if not _visible(setup.camera, scenario.occluders, pix):
+                        du, dv = (sigma * rng.standard_t(3, size=2)).tolist()
+                    u, v = u + du, v + dv
+                if not (0.0 <= u <= u_last and 0.0 <= v <= v_last):
                     continue
-                if rng.random() < scenario.joint_dropout.get(kind, 0.0):
+                if occluders and any(occ.contains((u, v)) for occ in occluders):
                     continue
-                emitted[kind.label] = [float(pix[0]), float(pix[1]), 1.0]
-                emitted_pixels.append(pix)
+                if rng.random() < dropout:
+                    continue
+                emitted[label] = [u, v, 1.0]
+                us.append(u)
+                vs.append(v)
 
             if not emitted:
                 continue
-            box_pixels = (
-                emitted_pixels if scenario.box_mode == "visible" else list(clean.values())
-            )
-            box = _box_from_pixels(setup, box_pixels, depth, person.body_width)
+            if full_box:
+                us, vs = clean[0::2], clean[1::2]
+            box = _box(camera, us, vs, half_width, pad)
             if box is None:
                 continue
             if p_idx == scenario.target_index:
                 target_det_index = len(frame_detections)
-            frame_detections.append(
-                {"box": box, "joints": emitted, "person": p_idx}
-            )
+            frame_detections.append({"box": box, "joints": emitted, "person": p_idx})
 
         det_record: Dict[str, Any] = {"t": t, "detections": frame_detections}
         if hint_pending and target_det_index is not None:
@@ -439,7 +508,7 @@ def localization_errors(
                         t=float(det_frame["t"]),
                         person=int(p_idx),
                         joint=kind,
-                        depth=float(_ankle(setup, xy_true)[2]),
+                        depth=float(_ankles(setup, xy_true)[2]),
                         error_m=float(np.linalg.norm(xy_est - xy_true)),
                     )
                 )

@@ -253,3 +253,61 @@ def test_run_tracker_names_the_record_with_a_nan_timestamp():
     with pytest.raises(JointTrackError) as info:
         run_tracker(scenario.setup, RunConfig(), records)
     assert str(info.value).startswith("record 5: malformed t: ")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize(
+    "argv, named, cause",
+    [
+        (["track", "--camera", str(README), "--input", "{ws}/dets.jsonl",
+          "--output", "{ws}/log.jsonl"], str(README), "invalid JSON"),
+        (["track", "--camera", "{ws}/fx_only.json", "--input", "{ws}/dets.jsonl",
+          "--output", "{ws}/log.jsonl"], "{ws}/fx_only.json", "missing field 'fy'"),
+        (["track", "--camera", "{ws}/camera.json", "--config", "{ws}/bad_gate.json",
+          "--input", "{ws}/dets.jsonl", "--output", "{ws}/log.jsonl"],
+         "{ws}/bad_gate.json", "could not convert string to float: 'x'"),
+        (["track", "--camera", "{ws}/camera.json", "--config", "{ws}/negative_gate.json",
+          "--input", "{ws}/dets.jsonl", "--output", "{ws}/log.jsonl"],
+         "{ws}/negative_gate.json", "gate_px must be positive"),
+        (["simulate", "--scenario", "{ws}/no_persons.json", "--out-detections", "{ws}/d.jsonl",
+          "--out-truth", "{ws}/t.jsonl"], "{ws}/no_persons.json", "missing field 'camera'"),
+        (["bench", "--scenario-dir", "{ws}/bad_suite", "--out-dir", "{ws}/out"],
+         "{ws}/bad_suite/a.json", "missing field 'camera'"),
+        (["simulate", "--scenario", "{ws}/nan_duration.json", "--out-detections",
+          "{ws}/d.jsonl", "--out-truth", "{ws}/t.jsonl"],
+         "{ws}/nan_duration.json", "rate and duration must be positive and finite"),
+    ],
+    ids=[
+        "track-camera-not-json",
+        "track-camera-missing-field",
+        "track-config-wrong-type",
+        "track-config-out-of-range",
+        "simulate-scenario-without-camera",
+        "bench-scenario-without-camera",
+        "simulate-scenario-nan-duration",
+    ],
+)
+def test_config_errors_are_reported_on_one_line(workspace, capsys, argv, named, cause):
+    ws = str(workspace)
+    (workspace / "dets.jsonl").write_text('{"t":0.0,"detections":[]}\n')
+    (workspace / "fx_only.json").write_text(json.dumps({"fx": 500}))
+    (workspace / "bad_gate.json").write_text(json.dumps({"gate_px": "x"}))
+    (workspace / "negative_gate.json").write_text(json.dumps({"gate_px": -1.0}))
+    (workspace / "no_persons.json").write_text(json.dumps({"persons": []}))
+    (workspace / "bad_suite").mkdir()
+    (workspace / "bad_suite" / "a.json").write_text(json.dumps({"persons": []}))
+    (workspace / "nan_duration.json").write_text(
+        json.dumps(dict(SCENARIO, duration_s=float("nan")))
+    )
+    assert main([arg.format(ws=ws) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"jointtrack {argv[0]}: error: {named.format(ws=ws)}: ")
+    assert cause in lines[0]
+    assert "Traceback" not in captured.err
+    assert not (workspace / "log.jsonl").exists()
+    assert not (workspace / "d.jsonl").exists()

@@ -325,6 +325,30 @@ class TestCameraToRobot:
         np.testing.assert_allclose(xy, [5.0, 1.0])
 
 
+class TestRobotToCamera:
+    @pytest.mark.parametrize("tilt", [0.0, 0.1, -0.4, 1.2])
+    def test_batch_equals_one_point_calls_bit_for_bit(self, tilt):
+        ext = RobotExtrinsics(offset=np.array([0.2, -0.1, 0.9]), tilt=tilt)
+        points = np.random.default_rng(3).uniform(-10.0, 10.0, size=(200, 3))
+        points[:3] = [[0.0, -0.0, 0.9], [np.nan, 1.0, 0.0], [np.inf, 0.0, 1.0]]
+        with np.errstate(invalid="ignore"):
+            batch = robot_to_camera(points, ext)
+            rows = [robot_to_camera(p, ext) for p in points]
+            stacked = robot_to_camera(points.reshape(10, 20, 3), ext)
+        assert batch.shape == (200, 3) and batch.dtype == np.float64
+        assert stacked.shape == (10, 20, 3)
+        for got, one in zip(batch, rows):
+            assert one.shape == (3,) and one.dtype == np.float64
+            assert got.tobytes() == one.tobytes()
+        assert stacked.tobytes() == batch.tobytes()
+
+    def test_accepts_lists(self):
+        ext = RobotExtrinsics(tilt=0.1)
+        one = robot_to_camera([4.0, 1.0, -1.2], ext)
+        both = robot_to_camera([[4.0, 1.0, -1.2], [4.0, 1.0, -1.2]], ext)
+        assert both[0].tobytes() == one.tobytes() == both[1].tobytes()
+
+
 class TestJointKind:
     def test_priority_order(self):
         assert JointKind.NECK < JointKind.HIP < JointKind.KNEE < JointKind.ANKLE

@@ -7,7 +7,7 @@ import pytest
 
 from jointtrack.config import CameraSetup
 from jointtrack.errors import EmptyScenarioError
-from jointtrack.geometry import JointKind, joint_position, project, robot_to_camera
+from jointtrack.geometry import JOINT_ORDER, JointKind, joint_position, project, robot_to_camera
 from jointtrack.simulator import (
     ArcTrajectory,
     LineTrajectory,
@@ -16,7 +16,7 @@ from jointtrack.simulator import (
     Scenario,
     SinusoidTrajectory,
     WaypointTrajectory,
-    _project_joints,
+    _project_persons,
     generate,
     localization_errors,
     trajectory_from_dict,
@@ -220,6 +220,35 @@ class TestGenerate:
         assert all("reid_hint" not in frame for frame in dets[1:])
 
 
+class TestScenarioValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate", 0.0),
+            ("rate", -30.0),
+            ("rate", float("nan")),
+            ("rate", float("inf")),
+            ("duration", 0.0),
+            ("duration", float("nan")),
+            ("duration", float("inf")),
+            ("duration", -float("inf")),
+            ("duration", 1e308),  # duration * rate overflows
+            ("pixel_noise_sigma", -3.0),
+            ("pixel_noise_sigma", -0.5),
+            ("pixel_noise_sigma", float("nan")),
+            ("pixel_noise_sigma", float("inf")),
+        ],
+    )
+    def test_rejects_invalid_timing_and_noise(self, field, value):
+        message = "pixel_noise_sigma" if field == "pixel_noise_sigma" else "rate and duration"
+        with pytest.raises(ValueError, match=message):
+            scenario(**{field: value})
+
+    def test_accepts_zero_noise_and_a_scene_shorter_than_a_frame(self):
+        dets, truth = generate(scenario(pixel_noise_sigma=0.0, duration=0.01))
+        assert dets == [] and truth == []
+
+
 class TestLocalizationOracle:
     def test_noiseless_stream_has_zero_error(self):
         scn = scenario(pixel_noise_sigma=0.0)
@@ -285,27 +314,38 @@ class TestProjectJoints:
     )
     def test_equals_per_joint_loop(self, setup):
         rng = np.random.default_rng(41)
-        outcomes = set()
+        persons, positions = [], []
         for _ in range(300):
             h_knee = rng.uniform(0.3, 0.6)
             h_hip = h_knee + rng.uniform(0.2, 0.6)
-            person = PersonSpec(
-                trajectory=LineTrajectory(start=(0.0, 0.0), velocity=(0.0, 0.0)),
-                h_neck=h_hip + rng.uniform(0.2, 0.7),
-                h_hip=h_hip,
-                h_knee=h_knee,
+            persons.append(
+                PersonSpec(
+                    trajectory=LineTrajectory(start=(0.0, 0.0), velocity=(0.0, 0.0)),
+                    h_neck=h_hip + rng.uniform(0.2, 0.7),
+                    h_hip=h_hip,
+                    h_knee=h_knee,
+                )
             )
-            xy = rng.uniform([-2.0, -5.0], [10.0, 5.0])
+            positions.append(rng.uniform([-2.0, -5.0], [10.0, 5.0]))
+        heights = np.array([list(person.heights().values()) for person in persons])
+        front, pixels, depths = _project_persons(setup, heights, np.array(positions))
+        assert front.shape == (300,)
+        assert pixels.shape == (int(front.sum()), 4, 2)
+        assert depths.shape == (int(front.sum()),)
+        outcomes = set()
+        row = 0
+        for person, xy, in_front in zip(persons, positions, front):
             expected = loop_project_joints(setup, person, xy)
-            got = _project_joints(setup, person, xy)
             outcomes.add(expected is None)
             if expected is None:
-                assert got is None
+                assert not in_front
                 continue
-            (pixels, depth), (ref_pixels, ref_depth) = got, expected
-            assert depth == ref_depth
-            assert list(pixels) == list(ref_pixels)
-            for kind in ref_pixels:
-                assert np.array_equal(pixels[kind], ref_pixels[kind])
+            assert in_front
+            ref_pixels, ref_depth = expected
+            assert depths[row] == ref_depth
+            assert list(ref_pixels) == list(JOINT_ORDER)
+            for j, kind in enumerate(JOINT_ORDER):
+                assert np.array_equal(pixels[row, j], ref_pixels[kind])
+            row += 1
         assert outcomes == {True, False}
 
