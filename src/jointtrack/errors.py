@@ -77,7 +77,7 @@ class NonMonotonicTimestampError(JointTrackError):
 
 
 class MalformedRecordError(JointTrackError):
-    """A detection-stream record lacks a field or holds an invalid value."""
+    """A stream record or line lacks a field or holds an invalid value."""
 
 
 class FileIoError(JointTrackError):

@@ -22,12 +22,13 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FileIoError, ReportIoError, TimestampMismatchError
+from .errors import FileIoError, MalformedRecordError, ReportIoError, TimestampMismatchError
 from .files import write_text
 
 DEFAULT_CENTER_THRESHOLD_PX = 50.0
@@ -69,24 +70,62 @@ class TrackingReport:
         }
 
 
-def _check_alignment(estimates: Sequence[Mapping], truth: Sequence[Mapping]) -> None:
+_RECORD_ERRORS = (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def _malformed(stream: str, number: int, field: str, exc: Exception) -> MalformedRecordError:
+    return MalformedRecordError(
+        f"{stream} record {number}: malformed {field}: {type(exc).__name__}: {exc}"
+    )
+
+
+def _timestamp(stream: str, number: int, record: Mapping[str, Any]) -> float:
+    try:
+        return float(record["t"])
+    except _RECORD_ERRORS as exc:
+        raise _malformed(stream, number, "t", exc) from exc
+
+
+def _aligned_times(estimates: Sequence[Mapping], truth: Sequence[Mapping]) -> List[float]:
+    """The frame timestamps both streams share, frame by frame."""
     if len(estimates) != len(truth):
         raise TimestampMismatchError(
             f"{len(estimates)} estimate frames vs {len(truth)} truth frames"
         )
-    for est, tru in zip(estimates, truth):
-        if est["t"] != tru["t"]:
-            raise TimestampMismatchError(f"timestamp {est['t']} vs {tru['t']}")
+    times = []
+    for number, (est, tru) in enumerate(zip(estimates, truth), 1):
+        t_est = _timestamp("estimate", number, est)
+        t_tru = _timestamp("truth", number, tru)
+        if t_est != t_tru:
+            raise TimestampMismatchError(f"timestamp {t_est} vs {t_tru}")
+        times.append(t_est)
+    return times
 
 
-def _target_xy(truth_frame: Mapping[str, Any]) -> np.ndarray:
-    person = truth_frame["persons"][truth_frame["target_index"]]
-    return np.asarray(person["xy"], dtype=float)
+def _xy(value: Any) -> np.ndarray:
+    xy = np.asarray(value, dtype=float)
+    if xy.shape != (2,):
+        raise ValueError(f"{value!r} is not [x, y]")
+    return xy
 
 
-def _target_truth_box(truth_frame: Mapping[str, Any]) -> Optional[List[float]]:
-    person = truth_frame["persons"][truth_frame["target_index"]]
-    return person.get("box")
+def _box_center(box: Any) -> Optional[Tuple[float, float]]:
+    return None if box is None else (float(box[0]), float(box[1]))
+
+
+def _target_field(truth_frame: Mapping[str, Any], number: int, name: str, parse: Callable):
+    """parse applied to field name (None when absent) of the target person."""
+    field = "persons"
+    try:
+        persons = truth_frame["persons"]
+        field = "target_index"
+        index = operator.index(truth_frame["target_index"])
+        if not 0 <= index < len(persons):
+            raise IndexError(f"{index} is not the index of one of {len(persons)} persons")
+        field = f"persons[{index}].{name}"
+        return parse(persons[index].get(name))
+    except _RECORD_ERRORS as exc:
+        raise _malformed("truth", number, field, exc) from exc
 
 
 def localization_metrics(
@@ -96,20 +135,31 @@ def localization_metrics(
     """Compare a track log against a ground-truth stream frame by frame.
 
     The streams must be time-aligned: same length, identical timestamps.
+
+    Raises:
+        TimestampMismatchError: the streams are not aligned.
+        MalformedRecordError: a record lacks a field the comparison reads
+            or holds an invalid value (a t that is not a number, a
+            Tracking record's target_xy or the truth target's xy that is
+            not [x, y], a target_index out of range); the message names
+            the stream, the 1-based record number and the field.
     """
-    _check_alignment(estimates, truth)
+    times = _aligned_times(estimates, truth)
     per_frame: List[Tuple[float, str, Optional[float]]] = []
     errors: List[float] = []
     recognized = 0
-    for est, tru in zip(estimates, truth):
+    for number, (t, est, tru) in enumerate(zip(times, estimates, truth), 1):
         status = est.get("status", "Uninitialized")
         error = None
         if status == "Tracking":
             recognized += 1
-            xy_est = np.asarray(est["target_xy"], dtype=float)
-            error = float(np.linalg.norm(xy_est - _target_xy(tru)))
+            try:
+                xy_est = _xy(est.get("target_xy"))
+            except _RECORD_ERRORS as exc:
+                raise _malformed("estimate", number, "target_xy", exc) from exc
+            error = float(np.linalg.norm(xy_est - _target_field(tru, number, "xy", _xy)))
             errors.append(error)
-        per_frame.append((float(est["t"]), status, error))
+        per_frame.append((t, status, error))
 
     total = len(per_frame)
     recall = recognized / total if total else 0.0
@@ -130,25 +180,35 @@ def tracking_accuracy(
     truth: Sequence[Mapping[str, Any]],
     threshold_px: float = DEFAULT_CENTER_THRESHOLD_PX,
 ) -> TrackingReport:
-    """Fraction of frames whose reported target box center is on target."""
-    _check_alignment(estimates, truth)
+    """Fraction of frames whose reported target box center is on target.
+
+    Raises:
+        TimestampMismatchError: the streams are not aligned.
+        MalformedRecordError: a t is not a number, a box has no numeric
+            center, or a target_index is out of range; the message names
+            the stream, the 1-based record number and the field.
+    """
+    times = _aligned_times(estimates, truth)
     per_frame: List[Tuple[float, Optional[bool]]] = []
     hits = 0
     scored = 0
-    for est, tru in zip(estimates, truth):
-        truth_box = _target_truth_box(tru)
-        if truth_box is None:
-            per_frame.append((float(est["t"]), None))
+    for number, (t, est, tru) in enumerate(zip(times, estimates, truth), 1):
+        truth_center = _target_field(tru, number, "box", _box_center)
+        if truth_center is None:
+            per_frame.append((t, None))
             continue
         scored += 1
-        est_box = est.get("target_box")
+        try:
+            est_center = _box_center(est.get("target_box"))
+        except _RECORD_ERRORS as exc:
+            raise _malformed("estimate", number, "target_box", exc) from exc
         hit = False
-        if est_box is not None:
-            du = est_box[0] - truth_box[0]
-            dv = est_box[1] - truth_box[1]
+        if est_center is not None:
+            du = est_center[0] - truth_center[0]
+            dv = est_center[1] - truth_center[1]
             hit = math.hypot(du, dv) < threshold_px
         hits += hit
-        per_frame.append((float(est["t"]), hit))
+        per_frame.append((t, hit))
     accuracy = hits / scored if scored else 0.0
     return TrackingReport(
         accuracy=accuracy, threshold_px=float(threshold_px), per_frame=tuple(per_frame)

@@ -29,6 +29,8 @@ random numbers in this fixed order: the pixel noise, when
 pixel_noise_sigma > 0, then the dropout draw, only when the noisy pixel is
 visible. Which draws happen depends on the data, so this pass stays
 sequential; the seed's stream, and so every output byte, is fixed by it.
+Both passes run with the cyclic garbage collector paused
+(files.collection_paused): the records are trees of lists and dicts.
 """
 
 import math
@@ -39,6 +41,7 @@ import numpy as np
 
 from .config import CameraSetup
 from .errors import EmptyScenarioError
+from .files import collection_paused
 from .geometry import (
     JOINT_ORDER,
     CameraModel,
@@ -379,91 +382,92 @@ def generate(scenario: Scenario) -> Tuple[List[Dict[str, Any]], List[Dict[str, A
     """
     if not scenario.persons:
         raise EmptyScenarioError("scenario has no persons")
-    setup = scenario.setup
-    camera = setup.camera
-    persons = scenario.persons
-    n_frames = int(round(scenario.duration * scenario.rate))
-    times = [k / scenario.rate for k in range(n_frames)]
+    with collection_paused():
+        setup = scenario.setup
+        camera = setup.camera
+        persons = scenario.persons
+        n_frames = int(round(scenario.duration * scenario.rate))
+        times = [k / scenario.rate for k in range(n_frames)]
 
-    # Everything the noise does not touch, for all frames and persons at once.
-    xy = np.array(
-        [[person.trajectory.position(t) for person in persons] for t in times], dtype=float
-    ).reshape(n_frames, len(persons), 2)
-    heights = np.array([list(person.heights().values()) for person in persons])
-    front, pixels, depth = _project_persons(setup, heights, xy)
-    widths = np.broadcast_to([person.body_width for person in persons], front.shape)[front]
-    half_w = 0.5 * camera.fx * widths / depth
-    v_pad = camera.fy * BOX_V_PAD_M / depth
-    truth_boxes = _truth_boxes(camera, scenario.occluders, pixels, half_w, v_pad)
-    # One flat (u0, v0, ..., u3, v3) list per person: nested lists would leave
-    # five times as many objects for the garbage collector to promote.
-    clean_rows = pixels.reshape(len(pixels), 8).tolist()
-    rendered = iter(zip(clean_rows, truth_boxes, half_w.tolist(), v_pad.tolist()))
+        # Everything the noise does not touch, for all frames and persons at once.
+        xy = np.array(
+            [[person.trajectory.position(t) for person in persons] for t in times], dtype=float
+        ).reshape(n_frames, len(persons), 2)
+        heights = np.array([list(person.heights().values()) for person in persons])
+        front, pixels, depth = _project_persons(setup, heights, xy)
+        widths = np.broadcast_to([person.body_width for person in persons], front.shape)[front]
+        half_w = 0.5 * camera.fx * widths / depth
+        v_pad = camera.fy * BOX_V_PAD_M / depth
+        truth_boxes = _truth_boxes(camera, scenario.occluders, pixels, half_w, v_pad)
+        # One flat (u0, v0, ..., u3, v3) list per person: nested lists would leave
+        # five times as many objects for the garbage collector to promote.
+        clean_rows = pixels.reshape(len(pixels), 8).tolist()
+        rendered = iter(zip(clean_rows, truth_boxes, half_w.tolist(), v_pad.tolist()))
 
-    # The noise, in the draw order the module docstring fixes.
-    rng = np.random.default_rng(scenario.seed)
-    sigma = scenario.pixel_noise_sigma
-    gaussian = scenario.noise_model == "gaussian"
-    full_box = scenario.box_mode == "full"
-    occluders = scenario.occluders
-    u_last, v_last = camera.image_width - 1, camera.image_height - 1
-    joints = [(kind.label, scenario.joint_dropout.get(kind, 0.0)) for kind in JOINT_ORDER]
-    hint_pending = scenario.emit_initial_hint
+        # The noise, in the draw order the module docstring fixes.
+        rng = np.random.default_rng(scenario.seed)
+        sigma = scenario.pixel_noise_sigma
+        gaussian = scenario.noise_model == "gaussian"
+        full_box = scenario.box_mode == "full"
+        occluders = scenario.occluders
+        u_last, v_last = camera.image_width - 1, camera.image_height - 1
+        joints = [(kind.label, scenario.joint_dropout.get(kind, 0.0)) for kind in JOINT_ORDER]
+        hint_pending = scenario.emit_initial_hint
 
-    detections_stream: List[Dict[str, Any]] = []
-    truth_stream: List[Dict[str, Any]] = []
-    for t, frame_xy, frame_front in zip(times, xy.tolist(), front.tolist()):
-        frame_detections: List[Dict[str, Any]] = []
-        truth_persons: List[Dict[str, Any]] = []
-        target_det_index: Optional[int] = None
+        detections_stream: List[Dict[str, Any]] = []
+        truth_stream: List[Dict[str, Any]] = []
+        for t, frame_xy, frame_front in zip(times, xy.tolist(), front.tolist()):
+            frame_detections: List[Dict[str, Any]] = []
+            truth_persons: List[Dict[str, Any]] = []
+            target_det_index: Optional[int] = None
 
-        for p_idx, (person_xy, in_front) in enumerate(zip(frame_xy, frame_front)):
-            if not in_front:
-                truth_persons.append({"xy": person_xy, "box": None})
-                continue
-            clean, truth_box, half_width, pad = next(rendered)
-            truth_persons.append({"xy": person_xy, "box": truth_box})
-
-            emitted: Dict[str, List[float]] = {}
-            us: List[float] = []
-            vs: List[float] = []
-            for (label, dropout), u, v in zip(joints, clean[0::2], clean[1::2]):
-                if sigma > 0:
-                    if gaussian:
-                        du, dv = rng.normal(0.0, sigma, size=2).tolist()
-                    else:
-                        du, dv = (sigma * rng.standard_t(3, size=2)).tolist()
-                    u, v = u + du, v + dv
-                if not (0.0 <= u <= u_last and 0.0 <= v <= v_last):
+            for p_idx, (person_xy, in_front) in enumerate(zip(frame_xy, frame_front)):
+                if not in_front:
+                    truth_persons.append({"xy": person_xy, "box": None})
                     continue
-                if occluders and any(occ.contains((u, v)) for occ in occluders):
-                    continue
-                if rng.random() < dropout:
-                    continue
-                emitted[label] = [u, v, 1.0]
-                us.append(u)
-                vs.append(v)
+                clean, truth_box, half_width, pad = next(rendered)
+                truth_persons.append({"xy": person_xy, "box": truth_box})
 
-            if not emitted:
-                continue
-            if full_box:
-                us, vs = clean[0::2], clean[1::2]
-            box = _box(camera, us, vs, half_width, pad)
-            if box is None:
-                continue
-            if p_idx == scenario.target_index:
-                target_det_index = len(frame_detections)
-            frame_detections.append({"box": box, "joints": emitted, "person": p_idx})
+                emitted: Dict[str, List[float]] = {}
+                us: List[float] = []
+                vs: List[float] = []
+                for (label, dropout), u, v in zip(joints, clean[0::2], clean[1::2]):
+                    if sigma > 0:
+                        if gaussian:
+                            du, dv = rng.normal(0.0, sigma, size=2).tolist()
+                        else:
+                            du, dv = (sigma * rng.standard_t(3, size=2)).tolist()
+                        u, v = u + du, v + dv
+                    if not (0.0 <= u <= u_last and 0.0 <= v <= v_last):
+                        continue
+                    if occluders and any(occ.contains((u, v)) for occ in occluders):
+                        continue
+                    if rng.random() < dropout:
+                        continue
+                    emitted[label] = [u, v, 1.0]
+                    us.append(u)
+                    vs.append(v)
 
-        det_record: Dict[str, Any] = {"t": t, "detections": frame_detections}
-        if hint_pending and target_det_index is not None:
-            det_record["reid_hint"] = target_det_index
-            hint_pending = False
-        detections_stream.append(det_record)
-        truth_stream.append(
-            {"t": t, "target_index": scenario.target_index, "persons": truth_persons}
-        )
-    return detections_stream, truth_stream
+                if not emitted:
+                    continue
+                if full_box:
+                    us, vs = clean[0::2], clean[1::2]
+                box = _box(camera, us, vs, half_width, pad)
+                if box is None:
+                    continue
+                if p_idx == scenario.target_index:
+                    target_det_index = len(frame_detections)
+                frame_detections.append({"box": box, "joints": emitted, "person": p_idx})
+
+            det_record: Dict[str, Any] = {"t": t, "detections": frame_detections}
+            if hint_pending and target_det_index is not None:
+                det_record["reid_hint"] = target_det_index
+                hint_pending = False
+            detections_stream.append(det_record)
+            truth_stream.append(
+                {"t": t, "target_index": scenario.target_index, "persons": truth_persons}
+            )
+        return detections_stream, truth_stream
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,11 @@ merges pairs either way. Records may carry extra keys (the simulator adds
 "person" for bookkeeping); readers ignore them. A record that lacks a
 field or holds an invalid value (NaN or infinite "t" included) raises
 MalformedRecordError naming it, and read_jsonl raises it with the line
-number for a line that is not JSON, such as one cut short. A keypoint
-pixel may be null: it reads as NaN, and an update with it counts as a miss.
+number for a line that is not UTF-8 or not JSON, such as one cut short. A
+keypoint pixel may be null: it reads as NaN, and an update with it counts
+as a miss. read_jsonl parses with the cyclic garbage collector paused
+(files.collection_paused): decoded records are trees, which reference
+counting frees.
 
 Track log, one record per processed frame:
 
@@ -38,7 +41,7 @@ from typing import Any, Dict, Iterable, List, Mapping
 
 from .association import BoundingBox
 from .errors import MalformedRecordError
-from .files import open_text, write_text
+from .files import collection_paused, open_bytes, write_text
 from .pipeline import Detection, Frame, FrameResult, merge_joint_pairs
 
 
@@ -117,17 +120,23 @@ def write_jsonl(path, records: Iterable[Mapping[str, Any]]) -> None:
 
 
 def read_jsonl(path) -> List[Dict[str, Any]]:
-    """Read one JSON value per non-blank line.
+    """Read one JSON value per non-blank line; lines end at "\\n".
 
     Raises:
-        MalformedRecordError: a line is not valid JSON (for example, it was
-            cut short); the message starts with its 1-based line number.
+        MalformedRecordError: a line is not UTF-8 or not valid JSON (for
+            example, it was cut short); the message starts with its 1-based
+            line number.
         FileIoError: the file could not be opened.
     """
     records = []
-    with open_text(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
+    with open_bytes(path) as fh, collection_paused():
+        for number, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise MalformedRecordError(
+                    f"line {number}: not UTF-8: {exc.reason} at byte {exc.start + 1}"
+                ) from exc
             if line:
                 try:
                     record = json.loads(line)
@@ -135,5 +144,9 @@ def read_jsonl(path) -> List[Dict[str, Any]]:
                     raise MalformedRecordError(
                         f"line {number}: invalid JSON: {exc.msg} at column {exc.colno}"
                     ) from exc
+                except (RecursionError, ValueError) as exc:
+                    # An integer past the int-from-str digit limit, or nesting
+                    # deeper than the decoder's recursion limit.
+                    raise MalformedRecordError(f"line {number}: invalid JSON: {exc}") from exc
                 records.append(record)
     return records

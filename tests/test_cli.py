@@ -245,6 +245,70 @@ def test_track_reports_truncated_line_on_one_line(workspace, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, bad, message",
+    [
+        ("track", "input", "line 2: not UTF-8: "),
+        ("eval", "estimates", "line 2: not UTF-8: "),
+        ("eval", "truth", "line 2: not UTF-8: "),
+    ],
+    ids=["track-input", "eval-estimates", "eval-truth"],
+)
+def test_non_utf8_stream_is_reported_on_one_line(workspace, capsys, command, bad, message):
+    good = {
+        "input": b'{"t":0.0,"detections":[]}\n',
+        "estimates": b'{"t":0.0,"status":"Lost","tracks":[]}\n',
+        "truth": b'{"t":0.0,"target_index":0,"persons":[{"xy":[2.0,0.0],"box":null}]}\n',
+    }
+    for name, line in good.items():
+        (workspace / f"{name}.jsonl").write_bytes(line + (b"\xff\n" if name == bad else b""))
+    ws = workspace
+    argv = {
+        "track": ["track", "--camera", f"{ws}/camera.json", "--input", f"{ws}/input.jsonl",
+                  "--output", f"{ws}/log.jsonl"],
+        "eval": ["eval", "--estimates", f"{ws}/estimates.jsonl", "--truth", f"{ws}/truth.jsonl",
+                 "--out", f"{ws}/report.json"],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"jointtrack {command}: error: {message}")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "estimate, truth, message",
+    [
+        ({"status": "Lost", "tracks": []}, {}, "estimate record 2: malformed t: KeyError"),
+        ({"t": 0.1, "status": "Tracking", "tracks": []}, {},
+         "estimate record 2: malformed target_xy: "),
+        ({"t": 0.1, "status": "Tracking", "target_xy": [2.0, 0.0], "tracks": []},
+         {"target_index": 3}, "truth record 2: malformed target_index: IndexError"),
+    ],
+    ids=["log-record-without-t", "tracking-without-target-xy", "target-index-out-of-range"],
+)
+def test_eval_reports_malformed_record_on_one_line(workspace, capsys, estimate, truth, message):
+    person = {"xy": [2.0, 0.0], "box": None}
+    _write_records(workspace / "log.jsonl", [{"t": 0.0, "status": "Lost", "tracks": []}, estimate])
+    _write_records(workspace / "truth.jsonl", [
+        {"t": 0.0, "target_index": 0, "persons": [person]},
+        dict({"t": 0.1, "target_index": 0, "persons": [person]}, **truth),
+    ])
+    assert main([
+        "eval", "--estimates", str(workspace / "log.jsonl"),
+        "--truth", str(workspace / "truth.jsonl"), "--out", str(workspace / "report.json"),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"jointtrack eval: error: {message}")
+    assert "Traceback" not in captured.err
+    assert not (workspace / "report.json").exists()
+
+
 def test_run_tracker_names_the_record_with_a_nan_timestamp():
     path = Path(__file__).resolve().parent.parent / "scenarios" / "seq1_approach.json"
     scenario = Scenario.from_dict(json.loads(path.read_text(encoding="utf-8")))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from jointtrack.errors import ReportIoError, TimestampMismatchError
+from jointtrack.errors import MalformedRecordError, ReportIoError, TimestampMismatchError
 from jointtrack.metrics import (
     localization_metrics,
     tracking_accuracy,
@@ -149,6 +149,67 @@ class TestTrackingAccuracy:
         report = tracking_accuracy(est, tru)
         assert report.accuracy == 0.0
         assert all(hit is None for _, hit in report.per_frame)
+
+
+@pytest.mark.parametrize(
+    "metric, mutate, message",
+    [
+        (localization_metrics, lambda est, tru: est[2].pop("t"),
+         "estimate record 3: malformed t: KeyError"),
+        (localization_metrics, lambda est, tru: tru[2].update(t="soon"),
+         "truth record 3: malformed t: ValueError"),
+        (localization_metrics, lambda est, tru: est[2].pop("target_xy"),
+         "estimate record 3: malformed target_xy: ValueError"),
+        (localization_metrics, lambda est, tru: est[2].update(target_xy=[1.0, 2.0, 3.0]),
+         "estimate record 3: malformed target_xy: ValueError"),
+        (localization_metrics, lambda est, tru: tru[2].update(target_index=1),
+         "truth record 3: malformed target_index: IndexError"),
+        (localization_metrics, lambda est, tru: tru[2].update(target_index=-1),
+         "truth record 3: malformed target_index: IndexError"),
+        (localization_metrics, lambda est, tru: tru[2].pop("target_index"),
+         "truth record 3: malformed target_index: KeyError"),
+        (localization_metrics, lambda est, tru: tru[2]["persons"][0].pop("xy"),
+         "truth record 3: malformed persons[0].xy: ValueError"),
+        (localization_metrics, lambda est, tru: tru[2].pop("persons"),
+         "truth record 3: malformed persons: KeyError"),
+        (localization_metrics, lambda est, tru: est[2].update(t=10**400),
+         "estimate record 3: malformed t: OverflowError"),
+        (tracking_accuracy, lambda est, tru: est[2].pop("t"),
+         "estimate record 3: malformed t: KeyError"),
+        (tracking_accuracy, lambda est, tru: tru[2].update(target_index=1.0),
+         "truth record 3: malformed target_index: TypeError"),
+        (tracking_accuracy, lambda est, tru: tru[2].update(target_index=5),
+         "truth record 3: malformed target_index: IndexError"),
+        (tracking_accuracy, lambda est, tru: tru[2]["persons"][0].update(box=7),
+         "truth record 3: malformed persons[0].box: TypeError"),
+        (tracking_accuracy, lambda est, tru: est[2].update(target_box=["u", 0.0, 1.0, 1.0]),
+         "estimate record 3: malformed target_box: ValueError"),
+    ],
+    ids=[
+        "loc-estimate-without-t",
+        "loc-truth-t-not-a-number",
+        "loc-tracking-without-target-xy",
+        "loc-target-xy-not-a-pair",
+        "loc-target-index-past-the-end",
+        "loc-target-index-negative",
+        "loc-truth-without-target-index",
+        "loc-target-person-without-xy",
+        "loc-truth-without-persons",
+        "loc-t-beyond-float-range",
+        "trk-estimate-without-t",
+        "trk-target-index-not-an-integer",
+        "trk-target-index-past-the-end",
+        "trk-truth-box-not-a-list",
+        "trk-target-box-not-numbers",
+    ],
+)
+def test_malformed_record_raises_typed_error_naming_record_and_field(metric, mutate, message):
+    # mutate breaks record 3 of one stream.
+    est, tru = make_streams(5, lambda k: True, 0.1, box_offset=0.0)
+    mutate(est, tru)
+    with pytest.raises(MalformedRecordError) as info:
+        metric(est, tru)
+    assert str(info.value).startswith(message)
 
 
 class TestReports:

@@ -249,6 +249,24 @@ class TestJsonl:
         with pytest.raises(MalformedRecordError, match=r"^line 3: invalid JSON: "):
             read_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "line", ['{"t":' + "1" * 5000 + "}", "[" * 100_000], ids=["huge-integer", "deep-nesting"]
+    )
+    def test_undecodable_json_raises_typed_error_with_line_number(self, tmp_path, line):
+        path = tmp_path / "stream.jsonl"
+        path.write_text('{"t":0.0}\n' + line + "\n")
+        with pytest.raises(MalformedRecordError, match=r"^line 2: invalid JSON: "):
+            read_jsonl(path)
+
+    def test_non_utf8_line_raises_typed_error_with_line_number(self, tmp_path):
+        # The first line is longer than a text reader's 8 KiB decode chunk,
+        # so only a line-by-line decode can name the line that holds 0xff.
+        path = tmp_path / "stream.jsonl"
+        first = json.dumps({"t": 0.0, "pad": "x" * 9000})
+        path.write_bytes(first.encode() + b'\n{"t":0.1}\n{"t":0.2,"note":"\xff"}\n')
+        with pytest.raises(MalformedRecordError, match=r"^line 3: not UTF-8: invalid start byte"):
+            read_jsonl(path)
+
     @pytest.mark.parametrize("bad", [{1, 2}, np.float32(0.5)], ids=["set", "float32"])
     def test_unencodable_record_leaves_existing_file_untouched(self, tmp_path, bad):
         path = tmp_path / "stream.jsonl"
