@@ -38,6 +38,14 @@ MIN_ASSOCIATION_DEPTH = 0.1
 FORBIDDEN_COST = 1e12
 
 
+def _check_box(u: float, v: float, w: float, h: float) -> None:
+    isfinite = math.isfinite
+    if not (isfinite(u) and isfinite(v) and isfinite(w) and isfinite(h)):
+        raise ValueError("box fields must be finite")
+    if w <= 0 or h <= 0:
+        raise ValueError("box width and height must be positive")
+
+
 @dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned box: center (u, v), width and height, in pixels."""
@@ -48,11 +56,7 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        isfinite = math.isfinite
-        if not (isfinite(self.u) and isfinite(self.v) and isfinite(self.w) and isfinite(self.h)):
-            raise ValueError("box fields must be finite")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError("box width and height must be positive")
+        _check_box(self.u, self.v, self.w, self.h)
 
     def center(self) -> np.ndarray:
         return np.array([self.u, self.v])
@@ -63,7 +67,13 @@ class BoundingBox:
     @classmethod
     def from_list(cls, values: Sequence[float]) -> "BoundingBox":
         u, v, w, h = values
-        return cls(float(u), float(v), float(w), float(h))
+        u, v, w, h = float(u), float(v), float(w), float(h)
+        _check_box(u, v, w, h)
+        # Checked above, so built without __post_init__: a frozen
+        # dataclass keeps its fields in the instance __dict__.
+        box = object.__new__(cls)
+        box.__dict__.update(u=u, v=v, w=w, h=h)
+        return box
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ prior model may be embedded under "prior" to skip full-body bootstrapping:
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, TypeVar
 
@@ -95,7 +96,11 @@ class CameraSetup:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Pipeline tunables; every field has a sensible default."""
+    """Pipeline tunables; every field has a sensible default.
+
+    gate_px and the initial sigmas must be finite and positive, like
+    ukf's noise sigmas; a NaN gate would match nothing, without an error.
+    """
 
     gate_px: float = DEFAULT_GATE_PX
     max_misses: int = DEFAULT_MAX_MISSES
@@ -109,8 +114,12 @@ class RunConfig:
     prior: Optional[PriorModel] = None
 
     def __post_init__(self):
-        if self.gate_px <= 0:
-            raise ValueError("gate_px must be positive")
+        for name in ("gate_px", "initial_position_sigma", "initial_velocity_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.max_misses < 1 or self.confirm_hits < 1 or self.tentative_max_misses < 1:
             raise ValueError("lifecycle counters must be at least 1")
         if not 0 <= self.min_confidence <= 1:

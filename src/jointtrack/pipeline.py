@@ -31,7 +31,15 @@ update_batch). A matched detection's measurement is built in one pass over
 the joints in measurement order, from the JointDetection pixels that pass
 use_joints and min_confidence. The accepted posteriors go back into the
 predicted stacks, and one ukf.track_states call turns the stacks into every
-live track's new TrackState.
+live track's new TrackState. A detection without joints is never located,
+so it spawns nothing.
+
+Ingest merges a detection's keypoints into the four joints. The merge has
+one implementation with two readers: merge_keypoints reads the detection
+stream's [u, v, conf], merge_joint_pairs a (pixel, conf) pair. Both read a
+keypoint's confidence first and its pixel only when the keypoint is kept.
+Each merged JointDetection, like each ingested BoundingBox, is checked once
+by its type's rule and then built without re-running __post_init__.
 
 Sessions are single-writer state machines: process_frame calls must be
 serialized per session, while distinct sessions are independent. Returned
@@ -87,6 +95,11 @@ class SessionStatus(Enum):
     UNINITIALIZED = "Uninitialized"
 
 
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 <= confidence <= 1.0:
+        raise ValueError("confidence must be in [0, 1]")
+
+
 @dataclass(frozen=True)
 class JointDetection:
     """One merged joint observation: pixel plus detector confidence."""
@@ -95,10 +108,9 @@ class JointDetection:
     confidence: float
 
     def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must be in [0, 1]")
+        _check_confidence(self.confidence)
         pixel = self.pixel
-        # Ingest hands over float64 (2,) arrays, which need no conversion.
+        # A float64 (2,) array is kept as given; anything else is converted.
         if not (type(pixel) is np.ndarray and pixel.dtype == np.float64 and pixel.shape == (2,)):
             object.__setattr__(self, "pixel", np.asarray(pixel, dtype=float).reshape(2))
 
@@ -189,19 +201,53 @@ def merge_joint_pairs(
     numbers (a null reads as NaN), and every merged confidence must lie in
     [0, 1]; otherwise ValueError or TypeError.
 
-    Every keypoint of every detection passes here, so the keypoints are
-    handled as plain floats and only the merged joints' pixels become
-    arrays.
+    raw_joints maps each name to (pixel, conf); merge_keypoints reads the
+    stream's [u, v, conf] instead, and both merge the same way.
     """
     usable: Dict[str, Tuple[Tuple[float, float], float]] = {}
     for name, (pixel, conf) in raw_joints.items():
         conf = float(conf)
         if conf >= min_confidence:
             usable[name] = (_pixel(pixel), conf)
-    merged: Dict[JointKind, JointDetection] = {}
-    if not usable:
-        return merged
+    return _merge_usable(usable, box) if usable else {}
 
+
+def merge_keypoints(
+    keypoints: Mapping[str, Sequence], box: BoundingBox, min_confidence: float
+) -> Dict[JointKind, JointDetection]:
+    """merge_joint_pairs on the detection stream's {name: [u, v, conf]}.
+
+    Each keypoint is read once: its three values, then its confidence, and
+    only a kept keypoint's pixel is read as two numbers, so a suppressed
+    keypoint's pixel may be anything. Every keypoint of every detection
+    passes here, so the keypoints are handled as plain floats and only the
+    merged joints' pixels become arrays.
+    """
+    usable: Dict[str, Tuple[Tuple[float, float], float]] = {}
+    for name, vals in keypoints.items():
+        u, v, conf = vals[0], vals[1], vals[2]
+        conf = float(conf)
+        if conf >= min_confidence:
+            usable[name] = (_pixel((u, v)), conf)
+    return _merge_usable(usable, box) if usable else {}
+
+
+def _joint(pixel: Tuple[float, float], confidence: float) -> JointDetection:
+    """JointDetection(pixel=pixel, confidence=confidence) for two numbers,
+    built without __post_init__: the confidence is checked once here, and
+    the float64 (2,) array made here is what JointDetection makes of them."""
+    _check_confidence(confidence)
+    joint = object.__new__(JointDetection)
+    joint.__dict__.update(pixel=np.array(pixel, dtype=float), confidence=confidence)
+    return joint
+
+
+def _merge_usable(
+    usable: Mapping[str, Tuple[Tuple[float, float], float]], box: BoundingBox
+) -> Dict[JointKind, JointDetection]:
+    """The merge of both readers, over the kept keypoints' (pixel, conf),
+    at least one, with each pixel two floats."""
+    merged: Dict[JointKind, JointDetection] = {}
     joint = usable.get("neck")
     if joint is None:
         left, right = usable.get("left_shoulder"), usable.get("right_shoulder")
@@ -212,7 +258,7 @@ def merge_joint_pairs(
         else:
             joint = left or right
     if joint is not None:
-        merged[JointKind.NECK] = JointDetection(pixel=np.array(joint[0]), confidence=joint[1])
+        merged[JointKind.NECK] = _joint(*joint)
 
     for kind, name, left_name, right_name in _PAIR_NAMES:
         joint = usable.get(name)
@@ -228,7 +274,7 @@ def merge_joint_pairs(
                 joint = ((box.u, 0.0 + v), 0.0 + conf)
             else:
                 continue
-        merged[kind] = JointDetection(pixel=np.array(joint[0]), confidence=joint[1])
+        merged[kind] = _joint(*joint)
     return merged
 
 
@@ -322,26 +368,25 @@ class TrackingSession:
         self._tracks.append(track)
         return track
 
-    def _usable_joints(self, detection: Detection) -> Dict[JointKind, np.ndarray]:
-        """The pixels of detection's joints in use_joints with at least
-        min_confidence, keyed in measurement order (JOINT_ORDER)."""
+    def _usable_kinds(self, detection: Detection) -> List[JointKind]:
+        """The kinds of detection's joints in use_joints with at least
+        min_confidence, in measurement order (JOINT_ORDER)."""
         joints, allowed = detection.joints, self._use_joints
         min_confidence = self.config.min_confidence
-        usable = {}
-        for kind in JOINT_ORDER:
-            if kind in joints and kind in allowed:
-                obs = joints[kind]
-                if obs.confidence >= min_confidence:
-                    usable[kind] = obs.pixel
-        return usable
+        return [
+            kind
+            for kind in JOINT_ORDER
+            if kind in joints and kind in allowed and joints[kind].confidence >= min_confidence
+        ]
 
     def _measurement(self, detection: Detection) -> Optional[Tuple[np.ndarray, List[JointKind]]]:
         """(z, kinds) for update_batch: detection's usable joint pixels
         stacked in measurement order, and their kinds; None if none is usable."""
-        joints = self._usable_joints(detection)
-        if not joints:
+        kinds = self._usable_kinds(detection)
+        if not kinds:
             return None
-        return np.concatenate(list(joints.values())), list(joints)
+        joints = detection.joints
+        return np.concatenate([joints[kind].pixel for kind in kinds]), kinds
 
     def _robot_location(self, track: _Track) -> np.ndarray:
         ankle = self.ground.to_camera(track.state.s[0], track.state.s[1])
@@ -486,7 +531,12 @@ class TrackingSession:
 
         # Spawning waits for a target, so that it gets the lowest id.
         for j in assoc.unmatched_detections:
-            ankle = None if target is None else self._locate(detections[j], _DEFAULT_PRIOR)
+            detection = detections[j]
+            # A detection without joints places no one, so it is not located.
+            if target is None or not detection.joints:
+                ankle = None
+            else:
+                ankle = self._locate(detection, _DEFAULT_PRIOR)
             if ankle is None:
                 unmatched.append(j)
             else:
@@ -552,9 +602,10 @@ class TrackingSession:
     def _locate(self, detection: Detection, prior: PriorModel) -> Optional[np.ndarray]:
         """Camera-frame ankle of a person with prior at detection, cast from
         its best usable joint; None if no usable joint admits a ray cast."""
-        joints = self._usable_joints(detection)
-        if not joints:
+        kinds = self._usable_kinds(detection)
+        if not kinds:
             return None
+        joints = {kind: detection.joints[kind].pixel for kind in kinds}
         try:
             return init_from_best_joint(self.camera, self.ground, prior, joints)[0]
         except NoUsableJointError:

@@ -11,13 +11,17 @@ Detection stream, one record per frame (field names are the wire contract):
 
 Joint names may be the pre-merged four (neck/hip/knee/ankle) or raw
 17-keypoint skeleton names (left_shoulder, right_hip, ...); ingestion
-merges pairs either way. Records may carry extra keys (the simulator adds
+merges pairs either way, with one call of pipeline.merge_keypoints per
+detection. It reads each keypoint once, its confidence first: a keypoint
+below min_confidence is dropped without its pixel being read, which is
+most of them in a crowd, where a pose detector prints every keypoint of
+every person. Records may carry extra keys (the simulator adds
 "person" for bookkeeping); readers ignore them. A record that lacks a
 field or holds an invalid value (NaN or infinite "t" included) raises
 MalformedRecordError naming it, and read_jsonl raises it with the line
 number for a line that is not UTF-8 or not JSON, such as one cut short. A
-keypoint pixel may be null: it reads as NaN, and an update with it counts
-as a miss. read_jsonl parses with the cyclic garbage collector paused
+kept keypoint's pixel may be null: it reads as NaN, and an update with it
+counts as a miss. read_jsonl parses with the cyclic garbage collector paused
 (files.collection_paused): decoded records are trees, which reference
 counting frees.
 
@@ -42,7 +46,7 @@ from typing import Any, Dict, Iterable, List, Mapping
 from .association import BoundingBox
 from .errors import MalformedRecordError
 from .files import collection_paused, open_bytes, write_text
-from .pipeline import Detection, Frame, FrameResult, merge_joint_pairs
+from .pipeline import Detection, Frame, FrameResult, merge_keypoints
 
 
 def detection_frame_from_record(record: Mapping[str, Any], min_confidence: float) -> Frame:
@@ -66,12 +70,8 @@ def detection_frame_from_record(record: Mapping[str, Any], min_confidence: float
             field = "box"
             box = BoundingBox.from_list(det["box"])
             field = "joints"
-            raw = {
-                name: ((vals[0], vals[1]), vals[2])
-                for name, vals in det.get("joints", {}).items()
-            }
-            joints = merge_joint_pairs(raw, box, min_confidence)
-            detections.append(Detection(box=box, joints=joints))
+            joints = merge_keypoints(det.get("joints", {}), box, min_confidence)
+            detections.append(Detection(box, joints))
         index, field = None, "reid_hint"
         hint = record.get("reid_hint")
         hint = None if hint is None else int(hint)

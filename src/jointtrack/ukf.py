@@ -34,6 +34,7 @@ visible-joint sets once per UkfParams, and a person's four joint heights
 once per PriorModel, as one read-only array indexed by JointKind.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -151,13 +152,19 @@ class UkfParams:
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
+        for name in ("beta", "kappa", "process_accel_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if 2 * GROUND_DIM + self.kappa <= 0:
             raise ValueError(f"kappa must exceed -{2 * GROUND_DIM}")
         if self.process_accel_sigma <= 0:
             raise ValueError("process_accel_sigma must be positive")
         sigmas = {JointKind(k): float(v) for k, v in self.joint_pixel_sigma.items()}
         for kind in JOINT_ORDER:
-            if sigmas.get(kind, 0.0) <= 0:
+            sigma = sigmas.get(kind, 0.0)
+            if not math.isfinite(sigma):
+                raise ValueError(f"pixel sigma for {kind.label} must be finite")
+            if sigma <= 0:
                 raise ValueError(f"pixel sigma for {kind.label} must be positive")
         object.__setattr__(self, "joint_pixel_sigma", sigmas)
 
@@ -372,8 +379,11 @@ def update_batch(
     covs = np.asarray(covs, dtype=float)
     groups: Dict[Tuple[JointKind, ...], List[int]] = {}
     zs = []
+    noise = params.noise_by_joints
     for t, (z, visible) in enumerate(measurements):
-        kinds = tuple(visible_in_order(visible))
+        kinds = tuple(visible)
+        if kinds not in noise:  # not a set of kinds in measurement order
+            kinds = tuple(visible_in_order(kinds))
         z = np.asarray(z, dtype=float).ravel()
         if z.size != 2 * len(kinds) or not kinds:
             raise ObservationDimensionError(
@@ -403,7 +413,7 @@ def update_batch(
         s, p = sigma[:, 0], covs[rows]
         dz = z_sigma - wm @ z_sigma
         ds = sigma - sigma[:, :1]
-        innovation_cov = (wc * dz).transpose(0, 2, 1) @ dz + params.noise_by_joints[kinds]
+        innovation_cov = (wc * dz).transpose(0, 2, 1) @ dz + noise[kinds]
         cross_cov = (wc * ds).transpose(0, 2, 1) @ dz
 
         # The innovation is centered on the mean's own projection (sigma

@@ -562,6 +562,58 @@ class TestNonTargetLifecycle:
         assert frame5[ghost_id].status is TrackStatus.LOST
         assert all(tr.id != ghost_id for tr in results[6].tracks)
 
+    def test_box_only_detections_spawn_nothing(self):
+        # Once a target exists, a detection with no joints (none in the
+        # record, or every keypoint below min_confidence) places no one: it
+        # is not spawned, and unless matched it is reported unmatched. A
+        # detection with joints beside them still spawns.
+        dets, _ = single_person_stream()
+        stream = [json.loads(json.dumps(rec)) for rec in dets[:8]]
+        for number, rec in enumerate(stream[2:], 2):
+            target = rec["detections"][0]
+            u, v, w, h = target["box"]
+            suppressed = {name: [pu, pv, 0.1] for name, (pu, pv, _) in target["joints"].items()}
+            rec["detections"] += [
+                {"box": [u - 150.0, v, w, h]},
+                {"box": [u + 150.0, v, 1.5 * w, h], "joints": {}},
+                {"box": [u - 300.0, v, w, h], "joints": suppressed},
+            ]
+            if number == 5:
+                ghost = json.loads(json.dumps(target))
+                ghost["box"][0] += 300.0
+                for joint in ghost["joints"].values():
+                    joint[0] += 300.0
+                rec["detections"].append(ghost)
+
+        config = RunConfig()
+        session = TrackingSession(SETUP.camera, SETUP.ground, config, SETUP.extrinsics)
+        located = []
+        locate = session._locate
+
+        def recording_locate(detection, prior):
+            located.append(detection)
+            return locate(detection, prior)
+
+        session._locate = recording_locate
+        results = []
+        for rec in stream:
+            frame = detection_frame_from_record(rec, config.min_confidence)
+            results.append(session.process_frame(frame))
+            assert all(d.joints for d in located)
+
+        target_id = results[0].spawned[0][0]
+        for number, (rec, res) in enumerate(zip(stream[2:], results[2:]), 2):
+            assert res.status is SessionStatus.TRACKING
+            assert (target_id, 0) in res.matches
+            box_only = [1, 2, 3]
+            matched = {j for _, j in res.matches}
+            assert all(j in res.unmatched_detections for j in box_only if j not in matched)
+            spawned = [j for _, j in res.spawned]
+            assert spawned == ([4] if number == 5 else [])
+            n = len(rec["detections"])
+            seen = sorted(list(matched) + spawned + list(res.unmatched_detections))
+            assert seen == list(range(n))
+
 
 class TestFrameResultSnapshots:
     def test_states_keep_their_bytes_and_cannot_be_made_writeable(self):

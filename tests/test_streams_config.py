@@ -21,9 +21,16 @@ from jointtrack.config import (
     load_run_config,
     save_run_config,
 )
-from jointtrack.errors import JointTrackError, MalformedRecordError
+from jointtrack.cli import main
+from jointtrack.errors import ConfigError, JointTrackError, MalformedRecordError
 from jointtrack.geometry import JointKind
-from jointtrack.pipeline import Detection, Frame, JointDetection
+from jointtrack.pipeline import (
+    Detection,
+    Frame,
+    JointDetection,
+    merge_joint_pairs,
+    merge_keypoints,
+)
 from jointtrack.prior import PriorModel
 from jointtrack.streams import (
     detection_frame_from_record,
@@ -128,6 +135,59 @@ class TestRunConfig:
             RunConfig(min_confidence=1.5)
         with pytest.raises(ValueError):
             RunConfig(use_joints=())
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["gate_px", "initial_position_sigma", "initial_velocity_sigma"])
+    def test_non_finite_tunable_is_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["initial_position_sigma", "initial_velocity_sigma"])
+    @pytest.mark.parametrize("value", [0.0, -0.5])
+    def test_initial_sigma_must_be_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            RunConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "data, cause",
+        [
+            ({"gate_px": float("nan")}, "gate_px must be finite"),
+            ({"gate_px": float("inf")}, "gate_px must be finite"),
+            ({"initial_position_sigma_m": float("nan")}, "initial_position_sigma must be finite"),
+            ({"initial_velocity_sigma_ms": 0.0}, "initial_velocity_sigma must be positive"),
+            ({"ukf": {"beta": float("nan")}}, "beta must be finite"),
+            ({"ukf": {"kappa": float("nan")}}, "kappa must be finite"),
+            ({"ukf": {"process_accel_sigma": float("nan")}}, "process_accel_sigma must be finite"),
+            (
+                {"ukf": {"joint_pixel_sigma": {"neck": float("nan"), "hip": 6.0,
+                                               "knee": 8.0, "ankle": 10.0}}},
+                "pixel sigma for neck must be finite",
+            ),
+        ],
+        ids=["gate-nan", "gate-inf", "position-sigma-nan", "velocity-sigma-zero", "beta-nan",
+             "kappa-nan", "accel-sigma-nan", "pixel-sigma-nan"],
+    )
+    def test_run_config_file_with_non_finite_value_is_a_config_error(self, tmp_path, data, cause):
+        # Python's json reads NaN and Infinity; the file is rejected, not run.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {cause}$"):
+            load_run_config(path)
+
+    def test_cli_reports_nan_gate_on_one_line(self, tmp_path, capsys):
+        camera, config, dets = tmp_path / "camera.json", tmp_path / "run.json", tmp_path / "d.jsonl"
+        camera.write_text(json.dumps(CAMERA_DICT))
+        config.write_text('{"gate_px": NaN}')
+        dets.write_text('{"t":0.0,"detections":[]}\n')
+        argv = ["track", "--camera", str(camera), "--config", str(config),
+                "--input", str(dets), "--output", str(tmp_path / "log.jsonl")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"jointtrack track: error: {config}: gate_px must be finite"
+        ]
+        assert not (tmp_path / "log.jsonl").exists()
 
 
 NAN = float("nan")
@@ -466,6 +526,23 @@ confidences = st.one_of(
 positive = st.floats(1e-3, 1e3)
 
 
+def _keypoint(draw, value):
+    """One keypoint value, [u, v, conf] unless value() swaps in a bad shape;
+    value(good, bad) draws from bad at the caller's rate, else from good."""
+    u, v = value(st.floats(-1e4, 1e4), scalars), value(st.floats(-1e4, 1e4), scalars)
+    conf = value(confidences, st.one_of(st.sampled_from([1.0000000000000002, 1.5]), scalars))
+    shape = value(st.just("uvc"), st.sampled_from(["uv", "uvc+", "nested", "scalar"]))
+    if shape == "uvc":
+        return [u, v, conf]
+    if shape == "uv":
+        return [u, v]
+    if shape == "uvc+":
+        return [u, v, conf, draw(scalars)]
+    if shape == "nested":
+        return [draw(nested), draw(nested), conf]
+    return draw(scalars)
+
+
 @st.composite
 def records(draw):
     """A detection record in which each value is, at a rate drawn per record,
@@ -477,20 +554,6 @@ def records(draw):
 
     def value(good, bad):
         return draw(bad if coin.random() < rate else good)
-
-    def joint():
-        u, v = value(st.floats(-1e4, 1e4), scalars), value(st.floats(-1e4, 1e4), scalars)
-        conf = value(confidences, st.one_of(st.sampled_from([1.0000000000000002, 1.5]), scalars))
-        shape = value(st.just("uvc"), st.sampled_from(["uv", "uvc+", "nested", "scalar"]))
-        if shape == "uvc":
-            return [u, v, conf]
-        if shape == "uv":
-            return [u, v]
-        if shape == "uvc+":
-            return [u, v, conf, draw(scalars)]
-        if shape == "nested":
-            return [draw(nested), draw(nested), conf]
-        return draw(scalars)
 
     def detection():
         box = [value(st.floats(-1e3, 1e3), scalars), value(st.floats(-1e3, 1e3), scalars),
@@ -508,7 +571,9 @@ def records(draw):
             scalars,
         ))}
         if coin.random() < 0.9:  # otherwise a box-only detection
-            det["joints"] = value(st.just({name: joint() for name in names}), scalars)
+            det["joints"] = value(
+                st.just({name: _keypoint(draw, value) for name in names}), scalars
+            )
         return value(st.just(det), st.one_of(st.just({"joints": {}}), scalars))
 
     record = {"t": value(st.floats(0.0, 100.0), scalars)}
@@ -589,3 +654,80 @@ class TestIngestMatchesReference:
         assert kind == "frame"
         assert frame == _outcome(_reference_frame, record, 0.3)[1]
         assert sum(1 for _, joints in frame[3] if joints) == 3
+
+
+# -- the stream's keypoint reader against the (pixel, conf) reader -------------
+
+BOX = BoundingBox(u=400.0, v=300.0, w=80.0, h=260.0)
+
+
+@st.composite
+def keypoint_maps(draw):
+    """A detection's {name: keypoint}, each value bad at a rate drawn per map,
+    as records() draws them, with a box center that may be -0.0."""
+    rate = draw(st.sampled_from([0.0, 0.03, 0.1, 0.3, 1.0]))
+    coin = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def value(good, bad):
+        return draw(bad if coin.random() < rate else good)
+
+    names = draw(st.lists(
+        st.one_of(st.sampled_from(MERGED_NAMES), st.sampled_from(JOINT_NAMES)),
+        max_size=17,
+        unique=True,
+    ))
+    box = BoundingBox(u=draw(st.one_of(st.floats(-1e3, 1e3), st.just(-0.0))), v=1.0, w=2.0, h=3.0)
+    return {name: _keypoint(draw, value) for name in names}, box
+
+
+def _merged(merge, keypoints, box, min_confidence):
+    """merge's joints by kind, pixel bytes and confidence bits, or "raised"."""
+    try:
+        joints = merge(keypoints, box, min_confidence)
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError):
+        return "raised"
+    return [
+        (kind, obs.pixel.dtype, obs.pixel.shape, obs.pixel.tobytes(), _bits(obs.confidence))
+        for kind, obs in joints.items()
+    ]
+
+
+def _merge_as_pairs(keypoints, box, min_confidence):
+    pairs = {name: ((vals[0], vals[1]), vals[2]) for name, vals in keypoints.items()}
+    return merge_joint_pairs(pairs, box, min_confidence)
+
+
+class TestMergeKeypoints:
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    @given(keypoint_maps(), st.sampled_from([0.3, 0.0, 1.0]))
+    def test_equals_merge_joint_pairs_or_both_raise(self, case, min_confidence):
+        keypoints, box = case
+        expected = _merged(_merge_as_pairs, keypoints, box, min_confidence)
+        assert _merged(merge_keypoints, keypoints, box, min_confidence) == expected
+
+    @pytest.mark.parametrize("pixel", [["x", None], [None, None], [[1.0, 2.0], {}], ["", "nan"]])
+    def test_suppressed_keypoint_pixel_is_never_read(self, pixel):
+        keypoints = {"neck": pixel + [0.1], "left_hip": [10.0, 20.0, 0.9]}
+        merged = merge_keypoints(keypoints, BOX, 0.3)
+        assert list(merged) == [JointKind.HIP]
+        assert merged[JointKind.HIP].pixel.tolist() == [BOX.u, 20.0]
+        assert _merged(merge_keypoints, keypoints, BOX, 0.3) == _merged(
+            _merge_as_pairs, keypoints, BOX, 0.3
+        )
+        record = {"t": 0.5, "detections": [{"box": BOX.to_list(), "joints": keypoints}]}
+        frame = detection_frame_from_record(record, 0.3)
+        assert list(frame.detections[0].joints) == [JointKind.HIP]
+
+    def test_merged_joints_are_checked_joint_detections(self):
+        keypoints = {"left_shoulder": [1.0, 2.0, 0.5], "right_shoulder": [3.0, 4.0, 0.7],
+                     "ankle": [5.0, 6.0, 1.0]}
+        merged = merge_keypoints(keypoints, BOX, 0.3)
+        assert list(merged) == [JointKind.NECK, JointKind.ANKLE]
+        assert merged[JointKind.NECK].pixel.tolist() == [2.0, 3.0]
+        assert merged[JointKind.NECK].confidence == 0.6
+        for obs in merged.values():
+            # Already what JointDetection's own checks would make of it.
+            assert type(obs) is JointDetection
+            assert JointDetection(pixel=obs.pixel, confidence=obs.confidence).pixel is obs.pixel
+        with pytest.raises(ValueError, match=r"^confidence must be in \[0, 1\]$"):
+            merge_keypoints({"neck": [1.0, 2.0, 1.5]}, BOX, 0.3)

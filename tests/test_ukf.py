@@ -59,6 +59,24 @@ class TestParams:
         with pytest.raises(ValueError):
             UkfParams(joint_pixel_sigma={JointKind.NECK: -1.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["beta", "kappa", "process_accel_sigma"])
+    def test_non_finite_scalar_is_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            UkfParams(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", list(JointKind))
+    def test_non_finite_pixel_sigma_is_rejected(self, kind, value):
+        sigmas = dict(PARAMS.joint_pixel_sigma)
+        sigmas[kind] = value
+        with pytest.raises(ValueError, match=f"^pixel sigma for {kind.label} must be finite$"):
+            UkfParams(joint_pixel_sigma=sigmas)
+
+    def test_nan_alpha_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\]$"):
+            UkfParams(alpha=float("nan"))
+
 
 class TestPredict:
     def test_mean_propagation(self):

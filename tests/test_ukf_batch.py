@@ -189,6 +189,28 @@ class TestUpdateBatch:
         alone = update(TrackState(s=means[1], P=covs[1]), z_ok, [JointKind.NECK], CAM, GROUND, prior, PARAMS)
         assert np.array_equal(out_s[1], alone.s) and np.array_equal(out_p[1], alone.P)
 
+    def test_visible_in_any_form_updates_as_in_measurement_order(self):
+        # z stacks the joints in measurement order, however visible lists
+        # them: out of order, as a set or a generator, or with a repeat.
+        means = np.array([[0.3, 4.0, 0.1, 0.0]] * 5)
+        covs = np.array([np.diag([0.2, 0.3, 0.4, 0.4])] * 5)
+        prior = PriorModel()
+        ordered = [JointKind.NECK, JointKind.KNEE, JointKind.ANKLE]
+        z = observe([0.4, 3.9, 0.0, 0.0], CAM, GROUND, prior, ordered)
+        forms = [
+            ordered,
+            [JointKind.ANKLE, JointKind.NECK, JointKind.KNEE],
+            set(ordered),
+            (k for k in reversed(ordered)),
+            ordered + [JointKind.NECK],
+        ]
+        out_s, out_p, errors = update_batch(
+            means, covs, [(z, visible) for visible in forms], CAM, GROUND, [prior] * 5, PARAMS
+        )
+        assert errors == [None] * 5
+        for row in range(1, 5):
+            assert np.array_equal(out_s[row], out_s[0]) and np.array_equal(out_p[row], out_p[0])
+
     def test_dimension_mismatch_rejects_the_batch(self):
         means = np.zeros((2, 4)) + [0.0, 4.0, 0.0, 0.0]
         covs = np.array([np.eye(4)] * 2)
