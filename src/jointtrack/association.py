@@ -193,12 +193,13 @@ def match_gnn(
     rows, cols = linear_sum_assignment(cost)
     matches = []
     matched_tracks, matched_dets = set(), set()
-    for i, j in zip(rows, cols):
-        if cost[i, j] >= FORBIDDEN_COST:
+    # Read once, as plain ints and floats.
+    for i, j, dist in zip(rows.tolist(), cols.tolist(), cost[rows, cols].tolist()):
+        if dist >= FORBIDDEN_COST:
             continue
-        matches.append((track_ids[i], int(j), float(cost[i, j])))
+        matches.append((track_ids[i], j, dist))
         matched_tracks.add(track_ids[i])
-        matched_dets.add(int(j))
+        matched_dets.add(j)
     return AssociationResult(
         matches=matches,
         unmatched_tracks=[tid for tid in track_ids if tid not in matched_tracks],

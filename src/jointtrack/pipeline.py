@@ -27,12 +27,16 @@ A frame's result counts as recognized ("Tracking") while the target track
 is alive, including short coasting stretches without a matched detection,
 whose box comes from the state through geometry's measurement model.
 Steps 2-4 each make one call for all tracks (predict_batch, expected_boxes,
-update_batch). A matched detection's measurement is built in one pass over
-the joints in measurement order, from the JointDetection pixels that pass
-use_joints and min_confidence. The accepted posteriors go back into the
-predicted stacks, and one ukf.track_states call turns the stacks into every
-live track's new TrackState. A detection without joints is never located,
-so it spawns nothing.
+update_batch). Prediction reads the stacks behind the last frame's states
+while the live tracks hold exactly those states, in order, and stacks the
+live states anew after a spawn, death, loss or re-init. A matched
+detection's measurement is built in one pass over the joints in
+measurement order, from the JointDetection pixels that pass use_joints and
+min_confidence. update_batch's stacks are taken whole when every live
+track got a finite posterior; otherwise the accepted posteriors go back
+into the predicted stacks a row at a time. One ukf.track_states call turns
+the stacks into every live track's new TrackState. A detection without
+joints is never located, so it spawns nothing.
 
 Ingest merges a detection's keypoints into the four joints. The merge has
 one implementation with two readers: merge_keypoints reads the detection
@@ -95,11 +99,6 @@ class SessionStatus(Enum):
     UNINITIALIZED = "Uninitialized"
 
 
-def _check_confidence(confidence: float) -> None:
-    if not 0.0 <= confidence <= 1.0:
-        raise ValueError("confidence must be in [0, 1]")
-
-
 @dataclass(frozen=True)
 class JointDetection:
     """One merged joint observation: pixel plus detector confidence."""
@@ -108,7 +107,8 @@ class JointDetection:
     confidence: float
 
     def __post_init__(self):
-        _check_confidence(self.confidence)
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ValueError("confidence must be in [0, 1]")
         pixel = self.pixel
         # A float64 (2,) array is kept as given; anything else is converted.
         if not (type(pixel) is np.ndarray and pixel.dtype == np.float64 and pixel.shape == (2,)):
@@ -176,11 +176,7 @@ _PAIR_NAMES = (
 
 def _pixel(pixel: Sequence[float]) -> Tuple[float, float]:
     """The two floats np.asarray(pixel, dtype=float).reshape(2) holds, or its
-    error; a tuple of two plain floats, the usual case, skips numpy."""
-    if type(pixel) is tuple and len(pixel) == 2:
-        u, v = pixel
-        if type(u) is float and type(v) is float:
-            return pixel
+    error."""
     u, v = np.asarray(pixel, dtype=float).reshape(2).tolist()
     return u, v
 
@@ -228,7 +224,9 @@ def merge_keypoints(
         u, v, conf = vals[0], vals[1], vals[2]
         conf = float(conf)
         if conf >= min_confidence:
-            usable[name] = (_pixel((u, v)), conf)
+            if type(u) is not float or type(v) is not float:
+                u, v = _pixel((u, v))
+            usable[name] = ((u, v), conf)
     return _merge_usable(usable, box) if usable else {}
 
 
@@ -236,7 +234,8 @@ def _joint(pixel: Tuple[float, float], confidence: float) -> JointDetection:
     """JointDetection(pixel=pixel, confidence=confidence) for two numbers,
     built without __post_init__: the confidence is checked once here, and
     the float64 (2,) array made here is what JointDetection makes of them."""
-    _check_confidence(confidence)
+    if not 0.0 <= confidence <= 1.0:
+        raise ValueError("confidence must be in [0, 1]")
     joint = object.__new__(JointDetection)
     joint.__dict__.update(pixel=np.array(pixel, dtype=float), confidence=confidence)
     return joint
@@ -293,13 +292,12 @@ class _Track:
     consecutive_hits: int = 0
 
     def snapshot(self) -> TrackRecord:
-        return TrackRecord(
-            id=self.id,
-            state=self.state,
-            status=self.status,
-            is_target=self.is_target,
-            misses=self.misses,
+        record = object.__new__(TrackRecord)  # the fields need no check
+        record.__dict__.update(
+            id=self.id, state=self.state, status=self.status,
+            is_target=self.is_target, misses=self.misses,
         )
+        return record
 
 
 class TrackingSession:
@@ -333,6 +331,7 @@ class TrackingSession:
         self._last_t: Optional[float] = None
         self._target_prior: Optional[PriorModel] = config.prior
         self._use_joints = frozenset(config.use_joints)
+        self._carried: Optional[List[TrackState]] = None  # the last frame's track_states
 
     # -- helpers -----------------------------------------------------------
 
@@ -423,19 +422,22 @@ class TrackingSession:
 
         # A track is named by its row in active, in the filter arrays and in match_gnn.
         active = [t for t in self._tracks if t.status is not TrackStatus.LOST]
-        means, covs, close, boxes = (), (), [], ()
+        states = [t.state for t in active]
+        means, covs, close, boxes = (), (), [], []
         if active:
+            # TrackState compares by identity, so == holds exactly when the
+            # live tracks still hold the states the last frame stacked.
+            if self._carried == states:
+                prior_s, prior_p = states[0].s.base, states[0].P.base
+            else:
+                prior_s = np.array([state.s for state in states])
+                prior_p = np.array([state.P for state in states])
             # Tracks exist only after a first frame, so last_t is set.
-            means, covs = predict_batch(
-                np.array([t.state.s for t in active]),
-                np.array([t.state.P for t in active]),
-                frame.timestamp - last_t,
-                self.config.ukf,
-            )
+            means, covs = predict_batch(prior_s, prior_p, frame.timestamp - last_t, self.config.ukf)
             too_close, boxes = expected_boxes(
                 means, [t.prior.body_width for t in active], self.camera, self.ground
             )
-            close = too_close.tolist()
+            close, boxes = too_close.tolist(), boxes.tolist()
 
         assoc = match_gnn(
             list(zip([row for row, c in enumerate(close) if not c], boxes)),
@@ -467,16 +469,22 @@ class TrackingSession:
                 [active[r].prior for r in rows],
                 self.config.ukf,
             )
-            # A row at a time: on a one-track frame, two fancy-index writes
-            # cost more than this loop.
             finite = np.isfinite(post_s).all(axis=1) & np.isfinite(post_p).all(axis=(1, 2))
-            for r, s, p, error, ok in zip(rows, post_s, post_p, errors, finite):
-                if error is None and ok:
-                    means[r], covs[r] = s, p
-                    updated.add(r)
+            if len(rows) == len(active) and errors.count(None) == len(rows) and finite.all():
+                means, covs = post_s, post_p
+                updated.update(rows)
+            else:
+                # A row at a time: on a one-track frame, two fancy-index
+                # writes cost more than this loop.
+                for r, s, p, error, ok in zip(rows, post_s, post_p, errors, finite):
+                    if error is None and ok:
+                        means[r], covs[r] = s, p
+                        updated.add(r)
         if active:
-            for track, state in zip(active, track_states(means, covs)):
+            states = track_states(means, covs)
+            for track, state in zip(active, states):
                 track.state = state
+            self._carried = states
 
         for row, j, _dist in assoc.matches:
             track = active[row]

@@ -55,9 +55,10 @@ def detection_frame_from_record(record: Mapping[str, Any], min_confidence: float
     Raises:
         MalformedRecordError: a field is missing or its value is invalid
             (a box that is not four finite numbers with positive size, a
-            joint that is not [u, v, conf] with conf in [0, 1], a t or
-            reid_hint that is not a finite number, or an integer too large
-            for a float); the message names the field.
+            joint that is not [u, v, conf] with conf in [0, 1], a t that
+            is not a finite number, a reid_hint that is neither an int nor
+            an integral float (a bool or a string is neither), or an
+            integer too large for a float); the message names the field.
     """
     index, field = None, "t"
     try:
@@ -74,7 +75,11 @@ def detection_frame_from_record(record: Mapping[str, Any], min_confidence: float
             detections.append(Detection(box, joints))
         index, field = None, "reid_hint"
         hint = record.get("reid_hint")
-        hint = None if hint is None else int(hint)
+        # A hint names one detection: an int, or a float that is one exactly.
+        if isinstance(hint, float) and hint.is_integer():
+            hint = int(hint)
+        elif hint is not None and type(hint) is not int:
+            raise TypeError(f"reid_hint must be a detection index, got {hint!r}")
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         where = field if index is None else f"detections[{index}].{field}"
         raise MalformedRecordError(f"malformed {where}: {type(exc).__name__}: {exc}") from exc

@@ -24,7 +24,8 @@ other track gets the same posterior as it would alone. predict, update and
 observe are the one-track calls of the same code. track_states turns the
 frame's (T, 4) means and (T, 4, 4) covariances into T TrackStates at once:
 one copy and one symmetry check per stack, by the rule TrackState applies
-to one row, and each state holds read-only views of its rows.
+to one row, and each state holds read-only views of its rows, from which
+the pipeline predicts the next frame while its tracks keep these states.
 
 The paper's own sequences follow one person, so most calls carry one
 track, and their cost is the number of numpy calls, not the arithmetic.
@@ -106,7 +107,8 @@ def track_states(means: np.ndarray, covs: np.ndarray) -> List[TrackState]:
     means is (T, 4) and covs (T, 4, 4). Each stack is copied once, C-ordered
     float64, every covariance is checked in one pass by TrackState's rule,
     and both copies are made read-only; state t then holds views of row t,
-    which cannot be made writeable again.
+    which cannot be made writeable again. The copies stay reachable as
+    states[0].s.base and states[0].P.base, which the pipeline predicts from.
 
     Raises:
         ValueError: a stack has the wrong shape, or some covariance is not
@@ -125,8 +127,7 @@ def track_states(means: np.ndarray, covs: np.ndarray) -> List[TrackState]:
     states = []
     for row_s, row_p in zip(s, p):
         state = object.__new__(TrackState)  # the rows are checked above
-        object.__setattr__(state, "s", row_s)
-        object.__setattr__(state, "P", row_p)
+        state.__dict__.update(s=row_s, P=row_p)
         states.append(state)
     return states
 

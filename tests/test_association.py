@@ -291,6 +291,21 @@ class TestMatchGnn:
         assert res.matches == [(0, 0, 0.0)]
         assert res.unmatched_detections == [1]
 
+    def test_results_are_plain_ints_and_floats(self):
+        # Track 1 is gated out of both detections, so the square solve pairs
+        # it with a forbidden cell, which must not come back as a match.
+        tracks = [(0, (320.0, 50.0)), (1, (20.0, 50.0))]
+        dets = [BoundingBox(u=323, v=200, w=46, h=100), BoundingBox(u=600, v=200, w=20, h=80)]
+        res = match_gnn(tracks, dets, gate=80.0)
+        assert res.matches == [(0, 0, 5.0)]
+        assert res.unmatched_tracks == [1] and res.unmatched_detections == [1]
+        (match,) = res.matches
+        assert [type(x) for x in match] == [int, int, float]
+        assert type(res.unmatched_tracks[0]) is int and type(res.unmatched_detections[0]) is int
+        # Expected boxes given as numpy rows, as lists or as tuples match alike.
+        for boxes in (np.array([[320.0, 50.0], [20.0, 50.0]]), [[320.0, 50.0], [20.0, 50.0]]):
+            assert match_gnn(list(zip([0, 1], boxes)), dets, gate=80.0) == res
+
     def test_invalid_gate(self):
         with pytest.raises(ValueError):
             match_gnn([], [], gate=0.0)

@@ -1,5 +1,6 @@
 """Tests for joint-pair merging, the tracking session and track lifecycle."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from jointtrack.association import BoundingBox
 from jointtrack.config import CameraSetup, RunConfig
 from jointtrack.errors import (
     NonMonotonicTimestampError,
+    SigmaPointFailureError,
     UninitializedSessionError,
 )
 from jointtrack.geometry import JOINT_ORDER, JointKind
@@ -17,6 +19,7 @@ from jointtrack.pipeline import (
     Frame,
     JointDetection,
     SessionStatus,
+    TrackRecord,
     TrackStatus,
     TrackingSession,
     _Track,
@@ -640,6 +643,162 @@ class TestFrameResultSnapshots:
                     assert field.flags.c_contiguous and not field.flags.writeable
                     with pytest.raises(ValueError):
                         field.flags.writeable = True
+
+
+def _canonical_result(result):
+    """A FrameResult with every array as its bytes, so equal means bit for bit."""
+    return (
+        result.timestamp,
+        result.status,
+        None if result.target_location is None else result.target_location.tobytes(),
+        result.target_box,
+        [
+            (t.id, t.status, t.is_target, t.misses, t.state.s.tobytes(), t.state.P.tobytes())
+            for t in result.tracks
+        ],
+        result.matches,
+        result.spawned,
+        result.unmatched_detections,
+    )
+
+
+class TestCarriedStacks:
+    """Predicting from the last frame's stacks, and taking the update's
+    stacks whole, give what rebuilding and writing back row by row give."""
+
+    @staticmethod
+    def stream():
+        persons = (
+            PersonSpec(trajectory=LineTrajectory(start=(5.0, 0.3), velocity=(-0.3, 0.05))),
+            PersonSpec(trajectory=LineTrajectory(start=(5.5, -1.0), velocity=(-0.2, 0.0))),
+            PersonSpec(trajectory=LineTrajectory(start=(6.0, 1.2), velocity=(-0.25, -0.05))),
+        )
+        dets, _ = single_person_stream(persons=persons, duration=3.0)
+        stream = json.loads(json.dumps(dets))
+        # A ghost at frame 3 spawns a tentative track that dies unmatched at
+        # frame 6, where a second ghost spawns: frame 7 then has as many
+        # live tracks as frame 6 stacked, but not the same ones.
+        for k, shift in ((3, 200.0), (6, -200.0)):
+            ghost = json.loads(json.dumps(stream[k]["detections"][0]))
+            ghost["box"][0] += shift
+            for joint in ghost["joints"].values():
+                joint[0] += shift
+            stream[k]["detections"].append(ghost)
+        # A NaN pixel makes person 1's update non-finite at frame 10.
+        for det in stream[10]["detections"]:
+            if det["person"] == 1:
+                det["joints"]["neck"][1] = float("nan")
+        # The target leaves for frames 30-49, goes Lost, and is hinted back.
+        for k in range(30, 50):
+            stream[k]["detections"] = [d for d in stream[k]["detections"] if d["person"] != 0]
+        stream[50]["reid_hint"] = [d["person"] for d in stream[50]["detections"]].index(0)
+        return stream
+
+    def run(self, stream, drop_carried):
+        config = RunConfig()
+        session = TrackingSession(SETUP.camera, SETUP.ground, config, SETUP.extrinsics)
+        results = []
+        for record in stream:
+            if drop_carried:
+                session._carried = None
+            results.append(session.process_frame(detection_frame_from_record(record, 0.3)))
+        return results
+
+    def test_fast_paths_match_their_fallbacks(self, monkeypatch):
+        import jointtrack.pipeline as pipeline
+
+        counts = {"carried": 0, "rebuilt": 0, "whole": 0, "row_by_row": 0}
+        posterior = {}
+
+        def predict_batch(means, covs, dt, params):
+            # The carried stacks are track_states' read-only copies.
+            counts["rebuilt" if means.flags.writeable else "carried"] += 1
+            return real_predict(means, covs, dt, params)
+
+        def update_batch(*args):
+            out = real_update(*args)
+            posterior["s"] = out[0]
+            return out
+
+        def track_states(means, covs):
+            if "s" in posterior:
+                counts["whole" if means is posterior.pop("s") else "row_by_row"] += 1
+            return real_states(means, covs)
+
+        real_predict, real_update, real_states = (
+            pipeline.predict_batch, pipeline.update_batch, pipeline.track_states
+        )
+        monkeypatch.setattr(pipeline, "predict_batch", predict_batch)
+        monkeypatch.setattr(pipeline, "update_batch", update_batch)
+        monkeypatch.setattr(pipeline, "track_states", track_states)
+
+        stream = self.stream()
+        shipped = self.run(stream, drop_carried=False)
+        assert min(counts.values()) > 0, counts
+        counts = dict.fromkeys(counts, 0)
+        dropped = self.run(stream, drop_carried=True)
+        assert counts["carried"] == 0 and counts["rebuilt"] > 0
+        assert [_canonical_result(r) for r in shipped] == [_canonical_result(r) for r in dropped]
+
+        # The sequence does what it is built to do.
+        (ghost_id,) = [tid for tid, j in shipped[3].spawned if j == 3]
+        (second_id,) = [tid for tid, j in shipped[6].spawned if j == 3]
+        assert [t.id for t in shipped[6].tracks][-2:] == [ghost_id, second_id]
+        assert not any(t.id == ghost_id for t in shipped[7].tracks)
+        assert len(shipped[7].tracks) == len(shipped[5].tracks) == 4
+        assert len(shipped[0].spawned) == 3
+        assert any(t.misses == 1 and not t.is_target for t in shipped[10].tracks)
+        assert shipped[49].status is SessionStatus.LOST
+        assert shipped[50].status is SessionStatus.TRACKING
+        target_id = next(t.id for t in shipped[0].tracks if t.is_target)
+        assert (target_id, stream[50]["reid_hint"]) in shipped[50].matches
+
+    def test_failed_update_is_a_miss_when_every_track_was_measured(self, monkeypatch):
+        import jointtrack.pipeline as pipeline
+
+        def fail_row_1(means, covs, *rest):
+            # As update_batch reports a track whose sigma points failed.
+            s, p, errors = real_update(means, covs, *rest)
+            s[1], p[1], errors[1] = means[1], covs[1], SigmaPointFailureError("injected")
+            return s, p, errors
+
+        real_update = pipeline.update_batch
+        stream = self.stream()
+        session = TrackingSession(SETUP.camera, SETUP.ground, RunConfig(), SETUP.extrinsics)
+        for record in stream[:2]:
+            session.process_frame(detection_frame_from_record(record, 0.3))
+        monkeypatch.setattr(pipeline, "update_batch", fail_row_1)
+        result = session.process_frame(detection_frame_from_record(stream[2], 0.3))
+        assert len(result.matches) == 3
+        assert [(t.id, t.misses) for t in result.tracks] == [(1, 0), (2, 1), (3, 0)]
+
+    def test_snapshot_equals_a_built_track_record(self):
+        session = TrackingSession(SETUP.camera, SETUP.ground, RunConfig(), SETUP.extrinsics)
+        for record in self.stream()[:2]:
+            result = session.process_frame(detection_frame_from_record(record, 0.3))
+        assert len(session._tracks) == 3
+        for track in session._tracks:
+            record = track.snapshot()
+            built = TrackRecord(
+                id=track.id,
+                state=track.state,
+                status=track.status,
+                is_target=track.is_target,
+                misses=track.misses,
+            )
+            assert record == built and hash(record) == hash(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.misses = 5
+            changed = dataclasses.replace(record, misses=5)
+            assert changed.misses == 5 and changed.state is record.state and record.misses == 0
+        assert all(type(t) is TrackRecord for t in result.tracks)
+
+    def test_matches_hold_plain_ints(self):
+        results = self.run(self.stream(), drop_carried=False)
+        for result in results:
+            for pairs in (result.matches, result.spawned):
+                assert all(type(tid) is int and type(j) is int for tid, j in pairs)
+            assert all(type(j) is int for j in result.unmatched_detections)
 
 
 class TestOcclusionRobustness:

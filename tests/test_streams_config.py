@@ -252,6 +252,11 @@ class TestDetectionRecords:
                 "detections[0].joints",
             ),
             ({"t": 0.0, "detections": [GOOD_DET], "reid_hint": float("inf")}, "reid_hint"),
+            ({"t": 0.0, "detections": [GOOD_DET], "reid_hint": 1.9999}, "reid_hint"),
+            ({"t": 0.0, "detections": [GOOD_DET], "reid_hint": True}, "reid_hint"),
+            ({"t": 0.0, "detections": [GOOD_DET], "reid_hint": "1"}, "reid_hint"),
+            ({"t": 0.0, "detections": [GOOD_DET], "reid_hint": NAN}, "reid_hint"),
+            ({"t": 0.0, "detections": [GOOD_DET], "reid_hint": [0]}, "reid_hint"),
             ({"t": 0.0, "detections": 5}, "detections"),
             ({"t": 0.0, "detections": None}, "detections"),
         ],
@@ -271,6 +276,11 @@ class TestDetectionRecords:
             "huge-int-box",
             "huge-int-pixel",
             "infinite-reid-hint",
+            "fractional-reid-hint",
+            "bool-reid-hint",
+            "numeric-string-reid-hint",
+            "nan-reid-hint",
+            "list-reid-hint",
             "integer-detections",
             "null-detections",
         ],
@@ -279,6 +289,12 @@ class TestDetectionRecords:
         with pytest.raises(MalformedRecordError, match=rf"^malformed {re.escape(field)}: "):
             detection_frame_from_record(record, 0.3)
         assert issubclass(MalformedRecordError, JointTrackError)
+
+    @pytest.mark.parametrize("hint, index", [(2, 2), (2.0, 2), (-0.0, 0), (-1, -1), (10**400, 10**400)])
+    def test_reid_hint_reads_as_one_int(self, hint, index):
+        # A hint outside the frame's detections is the session's to ignore.
+        frame = detection_frame_from_record({"t": 0.0, "detections": [], "reid_hint": hint}, 0.3)
+        assert type(frame.reid_target_hint) is int and frame.reid_target_hint == index
 
     def test_nan_joint_pixel_is_accepted(self):
         # A non-finite joint pixel is the tracker's to reject (as a miss),
@@ -444,6 +460,12 @@ def _reference_frame(record, min_confidence):
             detections.append(Detection(box=box, joints=joints))
         index, field = None, "reid_hint"
         hint = record.get("reid_hint")
+        # difference: only an int that is not a bool, or a float with an
+        # integral value, names a detection; int() took 1.9999, True and "1"
+        if hint is not None and not (
+            type(hint) is int or (type(hint) is float and math.isfinite(hint) and hint == int(hint))
+        ):
+            raise TypeError("reid_hint must be a detection index")
         hint = None if hint is None else int(hint)
     # difference: OverflowError is malformed too
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
