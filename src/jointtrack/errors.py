@@ -76,6 +76,11 @@ class NonMonotonicTimestampError(JointTrackError):
     """Frame timestamps must be finite and strictly increase within a stream."""
 
 
+class InvalidFrameError(JointTrackError):
+    """A Frame holds a value no session can take, such as a
+    reid_target_hint that is not an integer detection index."""
+
+
 class MalformedRecordError(JointTrackError):
     """A stream record or line lacks a field or holds an invalid value."""
 

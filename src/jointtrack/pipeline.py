@@ -30,20 +30,28 @@ Steps 2-4 each make one call for all tracks (predict_batch, expected_boxes,
 update_batch). Prediction reads the stacks behind the last frame's states
 while the live tracks hold exactly those states, in order, and stacks the
 live states anew after a spawn, death, loss or re-init. A matched
-detection's measurement is built in one pass over the joints in
-measurement order, from the JointDetection pixels that pass use_joints and
-min_confidence. update_batch's stacks are taken whole when every live
-track got a finite posterior; otherwise the accepted posteriors go back
-into the predicted stacks a row at a time. One ukf.track_states call turns
-the stacks into every live track's new TrackState. A detection without
-joints is never located, so it spawns nothing.
+detection's measurement is read from its pixel block: the block itself
+when every joint passes use_joints and min_confidence, otherwise one
+gather of the rows that do. When every live track has a measurement,
+update_batch gets the predicted stacks as they are, and its stacks are
+taken whole when every live track got a finite posterior; otherwise the
+measured rows are gathered and the accepted posteriors go back into the
+predicted stacks a row at a time. One ukf.track_states call turns the
+stacks into every live track's new TrackState. A detection without joints
+is never located, so it spawns nothing.
 
 Ingest merges a detection's keypoints into the four joints. The merge has
 one implementation with two readers: merge_keypoints reads the detection
 stream's [u, v, conf], merge_joint_pairs a (pixel, conf) pair. Both read a
 keypoint's confidence first and its pixel only when the keypoint is kept.
-Each merged JointDetection, like each ingested BoundingBox, is checked once
-by its type's rule and then built without re-running __post_init__.
+A detection's merged joints are one read-only mapping in measurement
+order: their kinds, their confidences, each checked once by
+JointDetection's rule, and their pixels as one read-only (k, 2) float64
+block, made by one np.array call. A JointDetection is built only when a
+caller reads joints[kind], and its pixel is a read-only view of its row.
+Ingested boxes and detections are built without re-running __post_init__.
+A Detection built in code copies the given pixels into a block of its own,
+so the frame path reads every detection the same way.
 
 Sessions are single-writer state machines: process_frame calls must be
 serialized per session, while distinct sessions are independent. Returned
@@ -62,6 +70,7 @@ from .association import BoundingBox, expected_box, expected_boxes, match_gnn
 from .config import RunConfig
 from .errors import (
     BehindCameraError,
+    InvalidFrameError,
     NonMonotonicTimestampError,
     NonPositiveDepthError,
     NoUsableJointError,
@@ -101,7 +110,12 @@ class SessionStatus(Enum):
 
 @dataclass(frozen=True)
 class JointDetection:
-    """One merged joint observation: pixel plus detector confidence."""
+    """One merged joint observation: pixel plus detector confidence.
+
+    The pixel of a joint read from an ingested detection is a read-only
+    view of that detection's pixel block, so writing into it raises
+    ValueError.
+    """
 
     pixel: np.ndarray
     confidence: float
@@ -115,12 +129,86 @@ class JointDetection:
             object.__setattr__(self, "pixel", np.asarray(pixel, dtype=float).reshape(2))
 
 
+class _Joints(Mapping[JointKind, JointDetection]):
+    """A detection's merged joints as one pixel block.
+
+    kinds is a tuple in JOINT_ORDER, pixels the (k, 2) float64 block whose
+    row i is the pixel of kinds[i], and confidences theirs; the frame path
+    reads only these. Ingest's block is read-only; a Detection built in
+    code holds its own copy of the given pixels.
+    joints[kind] is a JointDetection: the given object for a Detection
+    built in code, otherwise one built when the kind is first read, whose
+    pixel is a view of its row, kept by JointDetection's own rule.
+    """
+
+    __slots__ = ("kinds", "pixels", "confidences", "_objects")
+
+    def __init__(
+        self,
+        kinds: Tuple[JointKind, ...],
+        pixels: np.ndarray,
+        confidences: Tuple[float, ...],
+        objects: Optional[List[Optional[JointDetection]]] = None,
+    ):
+        self.kinds = kinds
+        self.pixels = pixels
+        self.confidences = confidences
+        self._objects = objects
+
+    def __getitem__(self, kind) -> JointDetection:
+        try:
+            row = self.kinds.index(kind)
+        except ValueError:
+            raise KeyError(kind) from None
+        if self._objects is None:
+            self._objects = [None] * len(self.kinds)
+        joint = self._objects[row]
+        if joint is None:
+            joint = JointDetection(pixel=self.pixels[row], confidence=self.confidences[row])
+            self._objects[row] = joint
+        return joint
+
+    def __contains__(self, kind) -> bool:
+        return kind in self.kinds
+
+    def __iter__(self):
+        return iter(self.kinds)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+_NO_JOINTS = _Joints((), np.empty((0, 2)), ())
+_NO_JOINTS.pixels.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class Detection:
-    """Bounding box plus merged joints; joints may be empty (box only)."""
+    """Bounding box plus merged joints; joints may be empty (box only).
+
+    Built in code, a Detection copies the pixels of the given joints into
+    its own block, so writing into a given pixel later does not change
+    what the tracker reads; detection.joints[kind] is still the given
+    JointDetection. Ingest builds its detections from merged blocks.
+    """
 
     box: BoundingBox
     joints: Mapping[JointKind, JointDetection] = field(default_factory=dict)
+
+    def __post_init__(self):
+        joints = self.joints
+        if type(joints) is _Joints:
+            return
+        kinds = tuple(kind for kind in JOINT_ORDER if kind in joints)
+        if len(kinds) != len(joints):
+            raise ValueError("joints must be keyed by JointKind")
+        given = [joints[kind] for kind in kinds]
+        pixels = np.array([obs.pixel for obs in given], dtype=float).reshape(len(kinds), 2)
+        confidences = tuple(obs.confidence for obs in given)
+        object.__setattr__(self, "joints", _Joints(kinds, pixels, confidences, given))
 
     def joint_pixels(self) -> Dict[JointKind, np.ndarray]:
         return {kind: obs.pixel for kind, obs in self.joints.items()}
@@ -128,7 +216,11 @@ class Detection:
 
 @dataclass(frozen=True)
 class Frame:
-    """One input frame: timestamp, detections, optional target hint."""
+    """One input frame: timestamp, detections, optional target hint.
+
+    The hint is a detection index, an int or numpy integer but not a bool;
+    process_frame rejects anything else with InvalidFrameError.
+    """
 
     timestamp: float
     detections: Sequence[Detection] = ()
@@ -185,7 +277,7 @@ def merge_joint_pairs(
     raw_joints: Mapping[str, Tuple[Sequence[float], float]],
     box: BoundingBox,
     min_confidence: float,
-) -> Dict[JointKind, JointDetection]:
+) -> Mapping[JointKind, JointDetection]:
     """Collapse raw keypoints into the four tracked joints.
 
     Left/right hip, knee and ankle pairs become one point each: the
@@ -198,26 +290,28 @@ def merge_joint_pairs(
     [0, 1]; otherwise ValueError or TypeError.
 
     raw_joints maps each name to (pixel, conf); merge_keypoints reads the
-    stream's [u, v, conf] instead, and both merge the same way.
+    stream's [u, v, conf] instead, and both merge the same way. The result
+    is a read-only mapping in measurement order (JOINT_ORDER) whose pixels
+    are rows of one read-only block; it equals {} when nothing is kept.
     """
     usable: Dict[str, Tuple[Tuple[float, float], float]] = {}
     for name, (pixel, conf) in raw_joints.items():
         conf = float(conf)
         if conf >= min_confidence:
             usable[name] = (_pixel(pixel), conf)
-    return _merge_usable(usable, box) if usable else {}
+    return _merge_usable(usable, box) if usable else _NO_JOINTS
 
 
 def merge_keypoints(
     keypoints: Mapping[str, Sequence], box: BoundingBox, min_confidence: float
-) -> Dict[JointKind, JointDetection]:
+) -> Mapping[JointKind, JointDetection]:
     """merge_joint_pairs on the detection stream's {name: [u, v, conf]}.
 
     Each keypoint is read once: its three values, then its confidence, and
     only a kept keypoint's pixel is read as two numbers, so a suppressed
     keypoint's pixel may be anything. Every keypoint of every detection
-    passes here, so the keypoints are handled as plain floats and only the
-    merged joints' pixels become arrays.
+    passes here, so the keypoints are handled as plain floats, and the
+    merged pixels become one array per detection.
     """
     usable: Dict[str, Tuple[Tuple[float, float], float]] = {}
     for name, vals in keypoints.items():
@@ -227,26 +321,17 @@ def merge_keypoints(
             if type(u) is not float or type(v) is not float:
                 u, v = _pixel((u, v))
             usable[name] = ((u, v), conf)
-    return _merge_usable(usable, box) if usable else {}
-
-
-def _joint(pixel: Tuple[float, float], confidence: float) -> JointDetection:
-    """JointDetection(pixel=pixel, confidence=confidence) for two numbers,
-    built without __post_init__: the confidence is checked once here, and
-    the float64 (2,) array made here is what JointDetection makes of them."""
-    if not 0.0 <= confidence <= 1.0:
-        raise ValueError("confidence must be in [0, 1]")
-    joint = object.__new__(JointDetection)
-    joint.__dict__.update(pixel=np.array(pixel, dtype=float), confidence=confidence)
-    return joint
+    return _merge_usable(usable, box) if usable else _NO_JOINTS
 
 
 def _merge_usable(
     usable: Mapping[str, Tuple[Tuple[float, float], float]], box: BoundingBox
-) -> Dict[JointKind, JointDetection]:
+) -> _Joints:
     """The merge of both readers, over the kept keypoints' (pixel, conf),
-    at least one, with each pixel two floats."""
-    merged: Dict[JointKind, JointDetection] = {}
+    at least one, with each pixel two floats. Each merged confidence is
+    checked once here, by JointDetection's rule, and the merged pixels
+    become one read-only block."""
+    merged: List[Tuple[JointKind, Tuple[float, float], float]] = []
     joint = usable.get("neck")
     if joint is None:
         left, right = usable.get("left_shoulder"), usable.get("right_shoulder")
@@ -257,7 +342,7 @@ def _merge_usable(
         else:
             joint = left or right
     if joint is not None:
-        merged[JointKind.NECK] = _joint(*joint)
+        merged.append((JointKind.NECK, *joint))
 
     for kind, name, left_name, right_name in _PAIR_NAMES:
         joint = usable.get(name)
@@ -273,8 +358,19 @@ def _merge_usable(
                 joint = ((box.u, 0.0 + v), 0.0 + conf)
             else:
                 continue
-        merged[kind] = _joint(*joint)
-    return merged
+        merged.append((kind, *joint))
+
+    if not merged:
+        return _NO_JOINTS
+    kinds, pixels, confidences = zip(*merged)
+    for conf in confidences:
+        if not 0.0 <= conf <= 1.0:
+            raise ValueError("confidence must be in [0, 1]")
+    block = np.array(pixels, dtype=float)
+    # Not geometry.read_only: ingest makes no call into another module per
+    # detection, which perfbench's tracer would count as a geometry call.
+    block.flags.writeable = False
+    return _Joints(kinds, block, confidences)
 
 
 # Spawned tracks are placed with average adult proportions.
@@ -367,25 +463,29 @@ class TrackingSession:
         self._tracks.append(track)
         return track
 
-    def _usable_kinds(self, detection: Detection) -> List[JointKind]:
-        """The kinds of detection's joints in use_joints with at least
-        min_confidence, in measurement order (JOINT_ORDER)."""
-        joints, allowed = detection.joints, self._use_joints
-        min_confidence = self.config.min_confidence
-        return [
-            kind
-            for kind in JOINT_ORDER
-            if kind in joints and kind in allowed and joints[kind].confidence >= min_confidence
-        ]
+    def _usable(self, joints: _Joints) -> Tuple[List[JointKind], List[int]]:
+        """The kinds of joints in use_joints with at least min_confidence, in
+        measurement order (JOINT_ORDER), and their rows in joints.pixels."""
+        allowed, min_confidence = self._use_joints, self.config.min_confidence
+        kinds, rows = [], []
+        for row, (kind, confidence) in enumerate(zip(joints.kinds, joints.confidences)):
+            if kind in allowed and confidence >= min_confidence:
+                kinds.append(kind)
+                rows.append(row)
+        return kinds, rows
 
     def _measurement(self, detection: Detection) -> Optional[Tuple[np.ndarray, List[JointKind]]]:
-        """(z, kinds) for update_batch: detection's usable joint pixels
-        stacked in measurement order, and their kinds; None if none is usable."""
-        kinds = self._usable_kinds(detection)
+        """(z, kinds) for update_batch: detection's usable joint pixels in
+        measurement order, read from its pixel block (the block itself when
+        every joint is usable), and their kinds; None if none is usable."""
+        joints = detection.joints
+        kinds, rows = self._usable(joints)
         if not kinds:
             return None
-        joints = detection.joints
-        return np.concatenate([joints[kind].pixel for kind in kinds]), kinds
+        pixels = joints.pixels
+        if len(rows) < len(pixels):
+            pixels = pixels[rows]
+        return pixels.reshape(-1), kinds
 
     def _robot_location(self, track: _Track) -> np.ndarray:
         ankle = self.ground.to_camera(track.state.s[0], track.state.s[1])
@@ -415,10 +515,15 @@ class TrackingSession:
             raise NonMonotonicTimestampError(
                 f"timestamp {frame.timestamp} does not advance past {self._last_t}"
             )
+        hint = frame.reid_target_hint
+        if hint is not None:
+            if isinstance(hint, bool) or not isinstance(hint, (int, np.integer)):
+                raise InvalidFrameError(f"reid_target_hint must be a detection index, got {hint!r}")
+            hint = int(hint)
         last_t, self._last_t = self._last_t, frame.timestamp
         detections = list(frame.detections)
         target = self.target
-        acquired, target_ankle = self._acquire(frame, detections, target)
+        acquired, target_ankle = self._acquire(hint, detections, target)
 
         # A track is named by its row in active, in the filter arrays and in match_gnn.
         active = [t for t in self._tracks if t.status is not TrackStatus.LOST]
@@ -460,9 +565,11 @@ class TrackingSession:
         updated: Set[int] = set()
         if measured:
             rows = sorted(measured)
+            # With every live row measured, the predicted stacks go as they are.
+            whole = len(rows) == len(active)
             post_s, post_p, errors = update_batch(
-                means[rows],
-                covs[rows],
+                means if whole else means[rows],
+                covs if whole else covs[rows],
                 [measured[r] for r in rows],
                 self.camera,
                 self.ground,
@@ -470,7 +577,7 @@ class TrackingSession:
                 self.config.ukf,
             )
             finite = np.isfinite(post_s).all(axis=1) & np.isfinite(post_p).all(axis=(1, 2))
-            if len(rows) == len(active) and errors.count(None) == len(rows) and finite.all():
+            if whole and errors.count(None) == len(rows) and finite.all():
                 means, covs = post_s, post_p
                 updated.update(rows)
             else:
@@ -570,14 +677,13 @@ class TrackingSession:
         return result
 
     def _acquire(
-        self, frame: Frame, detections: List[Detection], target: Optional[_Track]
+        self, hint: Optional[int], detections: List[Detection], target: Optional[_Track]
     ) -> Tuple[Optional[int], Optional[np.ndarray]]:
         """The index of the detection that (re)acquires the target, kept out
         of matching, and the ankle placing the target there (None if it
         cannot). Without a target the hinted detection is tried, or with no
         hint in range each detection in order until one places it; a Lost
         target tries the hinted one; a live target acquires nothing."""
-        hint = frame.reid_target_hint
         if hint is not None and not 0 <= hint < len(detections):
             hint = None
         if target is None:
@@ -598,9 +704,10 @@ class TrackingSession:
         becomes the prior; with one, any usable joint can."""
         if self._target_prior is not None:
             return self._locate(detection, self._target_prior)
-        if not all(kind in detection.joints for kind in JOINT_ORDER):
+        joints = detection.joints
+        if len(joints) < len(JOINT_ORDER):
             return None
-        obs = FullBodyObservation(joints=detection.joint_pixels())
+        obs = FullBodyObservation(joints=dict(zip(joints.kinds, joints.pixels)))
         try:
             ankle, self._target_prior, _ = construct_prior(self.camera, self.ground, obs)
         except FIT_ERRORS:
@@ -610,11 +717,12 @@ class TrackingSession:
     def _locate(self, detection: Detection, prior: PriorModel) -> Optional[np.ndarray]:
         """Camera-frame ankle of a person with prior at detection, cast from
         its best usable joint; None if no usable joint admits a ray cast."""
-        kinds = self._usable_kinds(detection)
+        joints = detection.joints
+        kinds, rows = self._usable(joints)
         if not kinds:
             return None
-        joints = {kind: detection.joints[kind].pixel for kind in kinds}
+        pixels = {kind: joints.pixels[row] for kind, row in zip(kinds, rows)}
         try:
-            return init_from_best_joint(self.camera, self.ground, prior, joints)[0]
+            return init_from_best_joint(self.camera, self.ground, prior, pixels)[0]
         except NoUsableJointError:
             return None

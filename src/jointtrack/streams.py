@@ -72,7 +72,10 @@ def detection_frame_from_record(record: Mapping[str, Any], min_confidence: float
             box = BoundingBox.from_list(det["box"])
             field = "joints"
             joints = merge_keypoints(det.get("joints", {}), box, min_confidence)
-            detections.append(Detection(box, joints))
+            # Merged joints are already a block, so built without __post_init__.
+            detection = object.__new__(Detection)
+            detection.__dict__.update(box=box, joints=joints)
+            detections.append(detection)
         index, field = None, "reid_hint"
         hint = record.get("reid_hint")
         # A hint names one detection: an int, or a float that is one exactly.

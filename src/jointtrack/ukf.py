@@ -20,8 +20,11 @@ set; each group projects all of its sigma points through
 geometry.project_points in one call and solves for all of its gains with
 one batched solve. A track whose sigma points cross behind the camera, or
 whose covariance has no square root even with jitter, fails alone; every
-other track gets the same posterior as it would alone. predict, update and
-observe are the one-track calls of the same code. track_states turns the
+other track gets the same posterior as it would alone. A batch whose one
+group holds every track (the common case: every person in view shows the
+same joints) is neither gathered into the group nor written back: the
+group's posterior stacks are the output. predict, update and observe are
+the one-track calls of the same code. track_states turns the
 frame's (T, 4) means and (T, 4, 4) covariances into T TrackStates at once:
 one copy and one symmetry check per stack, by the rule TrackState applies
 to one row, and each state holds read-only views of its rows, from which
@@ -371,7 +374,10 @@ def update_batch(
     updated, and its rows then hold the posterior, bit for bit the one
     update() returns for that track alone. Otherwise errors[t] is the
     exception update() would raise for it (SigmaPointFailureError or
-    BehindCameraError) and its rows hold the inputs unchanged.
+    BehindCameraError) and its rows hold the inputs unchanged. The returned
+    stacks are new arrays. A group that holds every track, in order, is
+    neither gathered nor written back: its posterior stacks are returned
+    as they are.
 
     Raises:
         ObservationDimensionError: some len(z) != 2 * len(visible).
@@ -401,7 +407,8 @@ def update_batch(
         if not live:
             continue
         rows = np.array(live)
-        sigma = points[rows]
+        # A group of every row, in order, is neither gathered nor scattered.
+        sigma = points if len(live) == len(means) else points[rows]
         heights = np.array([priors[t].heights for t in live])[:, kinds]
         behind, z_sigma = _project_joints(sigma, heights, camera, ground)
         if len(z_sigma) < len(rows):  # some track is behind the camera
@@ -411,7 +418,8 @@ def update_batch(
             if rows.size == 0:
                 continue
             live = rows.tolist()
-        s, p = sigma[:, 0], covs[rows]
+        whole = len(live) == len(means)
+        s, p = sigma[:, 0], covs if whole else covs[rows]
         dz = z_sigma - wm @ z_sigma
         ds = sigma - sigma[:, :1]
         innovation_cov = (wc * dz).transpose(0, 2, 1) @ dz + noise[kinds]
@@ -427,8 +435,11 @@ def update_batch(
         innovation = np.array([zs[t] for t in live]) - z_sigma[:, 0]
         s_new = s + (gain @ innovation[..., None])[..., 0]
         p_new = p - gain @ innovation_cov @ gain.transpose(0, 2, 1)
+        p_new = 0.5 * (p_new + p_new.transpose(0, 2, 1))
+        if whole:  # the only group
+            return s_new, p_new, errors
         out_s[rows] = s_new
-        out_p[rows] = 0.5 * (p_new + p_new.transpose(0, 2, 1))
+        out_p[rows] = p_new
     return out_s, out_p, errors
 
 

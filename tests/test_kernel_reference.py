@@ -12,7 +12,8 @@ result: on every drawn input both sides return the same arrays, bit for bit
 The same holds for the work the pipeline now does once for all tracks:
 ukf.track_states against one TrackState per row, and a matched detection's
 update measurement against the per-joint filter followed by
-ukf.measurement_from_joints.
+ukf.measurement_from_joints, for a detection built in code and for the
+same joints ingested as one pixel block.
 """
 
 import struct
@@ -48,6 +49,7 @@ from jointtrack.geometry import (
 )
 from jointtrack.pipeline import Detection, JointDetection, TrackingSession
 from jointtrack.prior import PriorModel
+from jointtrack.streams import detection_frame_from_record
 from jointtrack.ukf import (
     CHOLESKY_JITTER,
     COVARIANCE_SYMMETRY_TOL,
@@ -749,6 +751,36 @@ def measured_detections(draw):
 @given(measured_detections())
 def test_measurement_matches_reference(case):
     assert_same_measurement(*case)
+
+
+def _ingested(detection):
+    """detection's joints read back through ingest: one record whose
+    pre-merged keypoints hold the same pixels and confidences."""
+    keypoints = {
+        kind.label: [*np.asarray(obs.pixel).tolist(), obs.confidence]
+        for kind, obs in detection.joints.items()
+    }
+    record = {"t": 0.0, "detections": [{"box": detection.box.to_list(), "joints": keypoints}]}
+    (ingested,) = detection_frame_from_record(record, 0.0).detections
+    return ingested
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(measured_detections())
+def test_ingested_block_measurement_matches_reference(case):
+    # z of an ingested block is a view of it when every joint is usable, so
+    # it is read-only; dtype, shape, bytes and kinds are the reference's.
+    config, detection = case
+    expected = ref_measurement(config, detection)
+    measurement = _session_measurement(config, _ingested(detection))
+    if expected is None:
+        assert measurement is None
+        return
+    (z, kinds), (ref_z, ref_kinds) = measurement, expected
+    assert (z.dtype.str, z.shape, z.flags.c_contiguous, z.tobytes()) == (
+        ref_z.dtype.str, ref_z.shape, True, ref_z.tobytes()
+    )
+    assert kinds == ref_kinds and all(type(kind) is JointKind for kind in kinds)
 
 
 def test_measurement_named_cases():

@@ -10,6 +10,7 @@ import pytest
 from jointtrack.association import BoundingBox
 from jointtrack.config import CameraSetup, RunConfig
 from jointtrack.errors import (
+    InvalidFrameError,
     NonMonotonicTimestampError,
     SigmaPointFailureError,
     UninitializedSessionError,
@@ -753,6 +754,71 @@ class TestCarriedStacks:
         target_id = next(t.id for t in shipped[0].tracks if t.is_target)
         assert (target_id, stream[50]["reid_hint"]) in shipped[50].matches
 
+    def test_update_takes_whole_stacks_only_on_clean_frames(self, monkeypatch):
+        # Per frame with an update: were the predicted stacks passed as
+        # they are, did each group project the whole sigma-point stack, and
+        # were update_batch's stacks taken whole?
+        import jointtrack.pipeline as pipeline
+        import jointtrack.ukf as ukf
+
+        seen, paths = {}, {}
+
+        def predict_batch(*args):
+            seen["predicted"] = out = real_predict(*args)
+            return out
+
+        def sigma_points(*args):
+            seen["points"] = out = real_sigma(*args)
+            if seen["frame"] == 25:  # as if row 1's covariance had no square root
+                out[1][1] = SigmaPointFailureError("injected")
+            return out
+
+        def project_joints(states, *rest):
+            seen["groups"].append(states is seen["points"][0])
+            return real_project(states, *rest)
+
+        def update_batch(means, *rest):
+            seen["passed"], seen["groups"] = means is seen["predicted"][0], []
+            seen["posterior"] = out = real_update(means, *rest)
+            return out
+
+        def track_states(means, covs):
+            if "posterior" in seen:
+                taken = means is seen.pop("posterior")[0]
+                paths[seen["frame"]] = (seen["passed"], tuple(seen["groups"]), taken)
+            return real_states(means, covs)
+
+        real_predict, real_update, real_states = (
+            pipeline.predict_batch, pipeline.update_batch, pipeline.track_states
+        )
+        real_sigma, real_project = ukf._sigma_points, ukf._project_joints
+        monkeypatch.setattr(pipeline, "predict_batch", predict_batch)
+        monkeypatch.setattr(pipeline, "update_batch", update_batch)
+        monkeypatch.setattr(pipeline, "track_states", track_states)
+        monkeypatch.setattr(ukf, "_sigma_points", sigma_points)
+        monkeypatch.setattr(ukf, "_project_joints", project_joints)
+
+        stream = self.stream()
+        # Person 2 shows no knee at frame 20: two visible-joint sets.
+        for det in stream[20]["detections"]:
+            if det["person"] == 2:
+                del det["joints"]["knee"]
+        session = TrackingSession(SETUP.camera, SETUP.ground, RunConfig(), SETUP.extrinsics)
+        results = []
+        for k, record in enumerate(stream):
+            seen["frame"] = k
+            results.append(session.process_frame(detection_frame_from_record(record, 0.3)))
+
+        clean = (True, (True,), True)
+        assert paths[2] == paths[15] == clean
+        assert paths[4] == (False, (True,), False)  # the ghost's track is not measured
+        assert paths[10] == (True, (True,), False)  # person 1's posterior is NaN
+        assert paths[20] == (True, (False, False), True)  # two groups, each gathered
+        assert paths[25] == (True, (False,), False)  # row 1 failed
+        assert sum(path == clean for path in paths.values()) > len(paths) // 2
+        assert [t.misses for t in results[25].tracks] == [0, 1, 0]
+        assert [t.misses for t in results[20].tracks] == [0, 0, 0]
+
     def test_failed_update_is_a_miss_when_every_track_was_measured(self, monkeypatch):
         import jointtrack.pipeline as pipeline
 
@@ -828,6 +894,43 @@ class TestNonFiniteTimestamp:
         second = session.process_frame(detection_frame_from_record(dets[1], 0.3))
         assert first.status is second.status is SessionStatus.TRACKING
         assert second.matches == ((first.tracks[0].id, 0),)
+
+
+class TestHintFromCode:
+    """A Frame built in code names its hinted detection by an integer; any
+    other hint is refused before the frame counts."""
+
+    @staticmethod
+    def frame():
+        persons = (
+            PersonSpec(trajectory=LineTrajectory(start=(5.0, 0.8), velocity=(-0.3, 0.0))),
+            PersonSpec(trajectory=LineTrajectory(start=(5.0, -0.8), velocity=(-0.3, 0.0))),
+        )
+        dets, _ = single_person_stream(persons=persons, duration=0.2)
+        return detection_frame_from_record(dets[0], 0.3)
+
+    @staticmethod
+    def session():
+        return TrackingSession(SETUP.camera, SETUP.ground, RunConfig(), SETUP.extrinsics)
+
+    @pytest.mark.parametrize("hint", [1.5, True, "1", np.bool_(True), 1.0], ids=repr)
+    def test_non_integer_hint_is_refused_and_the_frame_can_be_retried(self, hint):
+        frame, session = self.frame(), self.session()
+        with pytest.raises(InvalidFrameError, match="reid_target_hint"):
+            session.process_frame(dataclasses.replace(frame, reid_target_hint=hint))
+        retried = session.process_frame(dataclasses.replace(frame, reid_target_hint=1))
+        expected = self.session().process_frame(dataclasses.replace(frame, reid_target_hint=1))
+        assert _canonical_result(retried) == _canonical_result(expected)
+        assert retried.spawned[0] == (1, 1)
+
+    def test_numpy_integer_hint_is_a_plain_index(self):
+        frame, session = self.frame(), self.session()
+        result = session.process_frame(dataclasses.replace(frame, reid_target_hint=np.int64(1)))
+        expected = self.session().process_frame(dataclasses.replace(frame, reid_target_hint=1))
+        assert _canonical_result(result) == _canonical_result(expected)
+        assert result.spawned[0] == (1, 1) and type(result.spawned[0][1]) is int
+        with pytest.raises(NonMonotonicTimestampError):
+            session.process_frame(dataclasses.replace(frame, reid_target_hint=1))
 
 
 class TestNonFiniteMeasurement:

@@ -1,5 +1,7 @@
 """Tests for stream parsing, config files and serialization round trips."""
 
+import dataclasses
+import gc
 import json
 import math
 import os
@@ -23,11 +25,12 @@ from jointtrack.config import (
 )
 from jointtrack.cli import main
 from jointtrack.errors import ConfigError, JointTrackError, MalformedRecordError
-from jointtrack.geometry import JointKind
+from jointtrack.geometry import JOINT_ORDER, JointKind
 from jointtrack.pipeline import (
     Detection,
     Frame,
     JointDetection,
+    TrackingSession,
     merge_joint_pairs,
     merge_keypoints,
 )
@@ -753,3 +756,120 @@ class TestMergeKeypoints:
             assert JointDetection(pixel=obs.pixel, confidence=obs.confidence).pixel is obs.pixel
         with pytest.raises(ValueError, match=r"^confidence must be in \[0, 1\]$"):
             merge_keypoints({"neck": [1.0, 2.0, 1.5]}, BOX, 0.3)
+
+
+# -- the merged pixel block ----------------------------------------------------------
+
+BLOCK_CONFIGS = [
+    RunConfig(),
+    RunConfig(min_confidence=0.5),
+    RunConfig(use_joints=(JointKind.ANKLE, JointKind.HIP)),
+]
+
+
+def _ingested(keypoints, box, min_confidence):
+    record = {"t": 0.5, "detections": [{"box": box.to_list(), "joints": keypoints}]}
+    (detection,) = detection_frame_from_record(record, min_confidence).detections
+    return detection
+
+
+def _measured(config, detection):
+    """The session's (z dtype, shape, bytes, kinds) of detection, or None."""
+    setup = CameraSetup.from_dict(CAMERA_DICT)
+    session = TrackingSession(setup.camera, setup.ground, config, setup.extrinsics)
+    measurement = session._measurement(detection)
+    if measurement is None:
+        return None
+    z, kinds = measurement
+    return z.dtype.str, z.shape, z.tobytes(), kinds
+
+
+def _crowd_record(people=20):
+    """One frame of people side by side, each with a neck and left/right hip,
+    knee and ankle keypoints."""
+    detections = []
+    for i in range(people):
+        u = 20.0 + 30.0 * i
+        joints = {"neck": [u, 180.0, 0.9]}
+        for offset, joint in ((220.0, "hip"), (250.0, "knee"), (280.0, "ankle")):
+            joints[f"left_{joint}"] = [u - 3.0, offset, 0.8]
+            joints[f"right_{joint}"] = [u + 3.0, offset + 1.0, 0.7]
+        detections.append({"box": [u, 230.0, 24.0, 110.0], "joints": joints})
+    return {"t": 0.5, "detections": detections}
+
+
+def _live_joint_detections():
+    return sum(1 for obj in gc.get_objects() if type(obj) is JointDetection)
+
+
+class TestPixelBlock:
+    """Ingest keeps each detection's merged pixels as one read-only block;
+    a Detection built in code copies the given pixels into its own."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(keypoint_maps(), st.sampled_from([0.3, 0.0, 1.0]))
+    def test_ingested_and_code_built_detections_measure_alike(self, case, min_confidence):
+        keypoints, box = case
+        try:
+            ingested = _ingested(keypoints, box, min_confidence)
+        except MalformedRecordError:
+            return  # ingest refused the keypoints; the merge tests cover that
+        given = dict(ingested.joints)
+        built = Detection(box=box, joints=given)
+        assert list(built.joints) == list(ingested.joints)
+        for kind, obs in given.items():
+            assert built.joints[kind] is obs
+        for config in BLOCK_CONFIGS:
+            assert _measured(config, built) == _measured(config, ingested)
+
+    def test_ingested_pixels_are_read_only_rows_of_one_block(self):
+        frame = detection_frame_from_record(_crowd_record(3), 0.3)
+        setup = CameraSetup.from_dict(CAMERA_DICT)
+        session = TrackingSession(setup.camera, setup.ground, RunConfig(), setup.extrinsics)
+        for detection in frame.detections:
+            joints = detection.joints
+            # Every joint is usable: the measurement is the block itself.
+            z, kinds = session._measurement(detection)
+            assert z.base is joints.pixels and kinds == list(JOINT_ORDER)
+            assert list(joints) == list(JOINT_ORDER)
+            assert joints.pixels.shape == (4, 2) and not joints.pixels.flags.writeable
+            for row, kind in enumerate(JOINT_ORDER):
+                pixel = joints[kind].pixel
+                assert pixel.base is joints.pixels and pixel.tolist() == joints.pixels[row].tolist()
+                assert joints[kind] is joints[kind]
+                with pytest.raises(ValueError):
+                    pixel[0] = 1.0
+
+    def test_code_built_detection_copies_the_given_pixels(self):
+        pixel = np.array([10.0, 20.0])
+        given = {JointKind.KNEE: JointDetection(pixel=pixel, confidence=0.9),
+                 JointKind.NECK: JointDetection(pixel=[30.0, 40.0], confidence=0.8)}
+        detection = Detection(box=BOX, joints=given)
+        # Keyed in measurement order, each kind still the given object.
+        assert list(detection.joints) == [JointKind.NECK, JointKind.KNEE]
+        assert all(detection.joints[kind] is obs for kind, obs in given.items())
+        before = _measured(RunConfig(), detection)
+        pixel[0] = 99.0  # the caller's array, not the detection's block
+        assert _measured(RunConfig(), detection) == before
+        assert detection.joints[JointKind.KNEE].pixel[0] == 99.0
+        assert Detection(box=BOX).joints == {} and not Detection(box=BOX).joints
+        with pytest.raises(ValueError, match="keyed by JointKind"):
+            Detection(box=BOX, joints={"neck": given[JointKind.NECK]})
+
+    def test_ingest_builds_no_joint_detection_until_one_is_read(self):
+        # Building one object per merged joint was most of a crowd frame's
+        # ingest; they are built only when a caller reads joints[kind].
+        record = _crowd_record()
+        gc.collect()
+        before = _live_joint_detections()
+        frame = detection_frame_from_record(record, 0.3)
+        assert len(frame.detections) == 20
+        assert _live_joint_detections() == before
+        setup = CameraSetup.from_dict(CAMERA_DICT)
+        session = TrackingSession(setup.camera, setup.ground, RunConfig(), setup.extrinsics)
+        session.process_frame(frame)
+        session.process_frame(dataclasses.replace(frame, timestamp=0.6))
+        assert _live_joint_detections() == before
+        hip = frame.detections[0].joints[JointKind.HIP]
+        assert _live_joint_detections() == before + 1
+        assert hip.pixel.tolist() == [20.0, 220.5]

@@ -7,11 +7,14 @@ agree with it to 1e-9 (absolute, on every element of s and P), and a
 track's posterior must be bit for bit the same inside a batch as alone.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointtrack import ukf
 from jointtrack.errors import (
     BehindCameraError,
     ObservationDimensionError,
@@ -286,3 +289,133 @@ def test_batch_predict_equals_reference_and_single_track(cases, dt):
         np.testing.assert_allclose(out_p[t], ref_p, rtol=0, atol=TOL)
         alone = predict(TrackState(s=means[t], P=covs[t]), dt, PARAMS)
         assert np.array_equal(alone.s, out_s[t]) and np.array_equal(alone.P, out_p[t])
+
+
+# -- a group of every row: neither gathered nor scattered ---------------------------
+
+
+@contextlib.contextmanager
+def counted_group_paths():
+    """Counts update_batch's groups by what they project: "whole" when a
+    group projects the sigma-point stack itself, "gathered" when a copy of
+    some of its rows."""
+    counts = {"whole": 0, "gathered": 0}
+    drawn = {}
+    real_sigma, real_project = ukf._sigma_points, ukf._project_joints
+
+    def sigma_points(*args):
+        drawn["points"] = out = real_sigma(*args)
+        return out
+
+    def project_joints(states, *rest):
+        counts["whole" if states is drawn["points"][0] else "gathered"] += 1
+        return real_project(states, *rest)
+
+    ukf._sigma_points, ukf._project_joints = sigma_points, project_joints
+    try:
+        yield counts
+    finally:
+        ukf._sigma_points, ukf._project_joints = real_sigma, real_project
+
+
+def _batch(entries):
+    """update_batch's inputs for (label, case, visible) entries."""
+    means = np.array([case[0] for _, case, _ in entries])
+    covs = np.array([0.5 * (case[1] + case[1].T) for _, case, _ in entries])
+    measurements = []
+    for _, (mean, _, _, prior, offset, noise), visible in entries:
+        try:
+            z = reference_observe(mean + offset, CAM, GROUND, prior, visible)
+        except BehindCameraError:
+            z = np.full(2 * len(visible), 240.0)
+        measurements.append((z + np.resize(noise, z.size), visible))
+    return means, covs, measurements, [case[3] for _, case, _ in entries]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(track_cases(), min_size=1, max_size=6),
+    st.lists(track_cases(), min_size=1, max_size=6),
+    st.randoms(use_true_random=False),
+)
+def test_whole_group_equals_the_same_rows_in_a_mixed_batch(group, others, rng):
+    # The group's tracks share one visible-joint set. In the mixed batch
+    # they are shuffled among tracks with another set, one of which has no
+    # covariance square root.
+    visible = group[0][2]
+    other = [JointKind.NECK] if visible != [JointKind.NECK] else [JointKind.ANKLE]
+    entries = [("group", case, visible) for case in group]
+    entries += [("other", case, other) for case in others]
+    entries.append(("failed", (others[0][0], -np.eye(4), *others[0][2:]), other))
+    rng.shuffle(entries)
+    in_group = [i for i, (label, _, _) in enumerate(entries) if label == "group"]
+    means, covs, measurements, priors = _batch(entries)
+    group_means, group_covs = means[in_group], covs[in_group]
+    inputs = means.tobytes(), covs.tobytes(), group_means.tobytes(), group_covs.tobytes()
+
+    with counted_group_paths() as counts:
+        whole_s, whole_p, whole_errors = update_batch(
+            group_means, group_covs, [measurements[i] for i in in_group],
+            CAM, GROUND, [priors[i] for i in in_group], PARAMS,
+        )
+        whole_counts = dict(counts)
+        mixed_s, mixed_p, mixed_errors = update_batch(
+            means, covs, measurements, CAM, GROUND, priors, PARAMS
+        )
+
+    if not any(isinstance(e, SigmaPointFailureError) for e in whole_errors):
+        assert whole_counts == {"whole": 1, "gathered": 0}
+    assert counts == {"whole": whole_counts["whole"], "gathered": whole_counts["gathered"] + 2}
+    failed = [label for label, _, _ in entries].index("failed")
+    assert isinstance(mixed_errors[failed], SigmaPointFailureError)
+    assert [type(e) for e in whole_errors] == [type(mixed_errors[i]) for i in in_group]
+    assert whole_s.tobytes() == mixed_s[in_group].tobytes()
+    assert whole_p.tobytes() == mixed_p[in_group].tobytes()
+    # The inputs are untouched; the outputs are new C-ordered arrays.
+    assert (means.tobytes(), covs.tobytes(), group_means.tobytes(), group_covs.tobytes()) == inputs
+    for out in (whole_s, whole_p, mixed_s, mixed_p):
+        assert out.flags.c_contiguous and out.flags.writeable
+        for given in (means, covs, group_means, group_covs):
+            assert not np.shares_memory(out, given)
+
+
+def test_a_failed_or_behind_row_takes_the_gathered_path():
+    prior = PriorModel()
+    means = np.array([[0.3, 4.0, 0.1, 0.0], [0.5, 5.0, 0.0, 0.1], [-0.4, 3.0, 0.0, 0.0]])
+    covs = np.array([np.diag([0.2, 0.2, 0.4, 0.4])] * 3)
+    measurements = [(np.array([330.0, 150.0]), [JointKind.NECK])] * 3
+    with counted_group_paths() as counts:
+        out_s, out_p, errors = update_batch(
+            means, covs, measurements, CAM, GROUND, [prior] * 3, PARAMS
+        )
+        assert errors == [None] * 3 and counts == {"whole": 1, "gathered": 0}
+
+        failed = covs.copy()
+        failed[1] = -np.eye(4)
+        s, p, errors = update_batch(means, failed, measurements, CAM, GROUND, [prior] * 3, PARAMS)
+        assert isinstance(errors[1], SigmaPointFailureError)
+        assert counts == {"whole": 1, "gathered": 1}
+        assert np.array_equal(s[1], means[1]) and np.array_equal(p[1], failed[1])
+        for row in (0, 2):
+            assert s[row].tobytes() == out_s[row].tobytes()
+            assert p[row].tobytes() == out_p[row].tobytes()
+
+        # Row 2's sigma points cross behind the camera: the group is
+        # projected whole, and the rows in front are written into copies.
+        behind, wide = means.copy(), covs.copy()
+        behind[2], wide[2] = [0.0, 0.4, 0.0, 0.0], np.diag([0.5, 0.5, 0.5, 0.5])
+        s, p, errors = update_batch(behind, wide, measurements, CAM, GROUND, [prior] * 3, PARAMS)
+        assert isinstance(errors[2], BehindCameraError) and errors[:2] == [None, None]
+        assert counts == {"whole": 2, "gathered": 1}
+        assert np.array_equal(s[2], behind[2]) and np.array_equal(p[2], wide[2])
+        for row in (0, 1):
+            assert s[row].tobytes() == out_s[row].tobytes()
+            assert p[row].tobytes() == out_p[row].tobytes()
+
+        # Covariances in another memory layout give the same C-ordered stacks.
+        s, p, errors = update_batch(
+            means, np.asfortranarray(covs), measurements, CAM, GROUND, [prior] * 3, PARAMS
+        )
+        assert errors == [None] * 3 and counts == {"whole": 3, "gathered": 1}
+        assert s.flags.c_contiguous and p.flags.c_contiguous
+        assert s.tobytes() == out_s.tobytes() and p.tobytes() == out_p.tobytes()
