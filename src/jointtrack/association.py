@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import BehindCameraError
-from .geometry import CameraModel, GroundPlane, project_points
+from .geometry import CameraModel, GroundPlane, _pinhole
 from .prior import PriorModel
 
 MIN_ASSOCIATION_DEPTH = 0.1
@@ -105,7 +105,7 @@ def expected_boxes(
     too_close = ankles[:, 2] <= MIN_ASSOCIATION_DEPTH
     if too_close.any():
         ankles, widths = ankles[~too_close], widths[~too_close]
-    boxes = project_points(camera, ankles)  # column 0 is u_bar; v gives way to w_bar
+    boxes = _pinhole(camera, ankles)  # depth checked above; u_bar, then v gives way to w_bar
     boxes[:, 1] = camera.fx * widths / ankles[:, 2]
     return too_close, boxes
 

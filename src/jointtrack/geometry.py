@@ -32,14 +32,15 @@ A person standing at ankle point X with a joint at height h above the
 ground has that joint at X + h * N (joint_position), and the joint's
 pixel is its pinhole projection (project_points). This measurement model
 is written only there; the UKF, the prior fit, the expected and coast
-boxes and the simulator call them. project_points runs in every per-frame
-kernel, on one track as often as on twenty, so it is a handful of numpy
-calls: each CameraModel holds its focal lengths and principal point once
-as two read-only (2,) arrays, and a projection is one broadcast
-focal * xy / z + center. Conversely, a joint pixel p with known
-height h fixes the person's position: the back-projected ray r = K^-1 [p;1]
-is scaled to the plane of height h and the ankle recovered by stepping back
-down the normal:
+boxes and the simulator call them. project_points is a depth check plus
+an unchecked core, _pinhole: fx * x / z + cx and fy * y / z + cy in three
+numpy calls over coordinate-first views, whose inner loops run over the
+points, not a point's two coordinates. ukf._project_joints and
+association.expected_boxes call the core after their own depth masks,
+which leave nothing for project_points' check. Conversely, a joint pixel
+p with known height h fixes the person's position: the back-projected ray
+r = K^-1 [p;1] is scaled to the plane of height h and the ankle recovered
+by stepping back down the normal:
 
     r   = K^-1 [u, v, 1]^T
     X_j = (|gamma - h| / |N . r|) * r
@@ -97,6 +98,8 @@ class JointKind(IntEnum):
 
 #: Joints in measurement-vector / fallback order.
 JOINT_ORDER = (JointKind.NECK, JointKind.HIP, JointKind.KNEE, JointKind.ANKLE)
+#: The 15 visible-joint sets, each a tuple in JOINT_ORDER.
+JOINT_SETS = tuple(tuple(k for k in JOINT_ORDER if mask & (1 << k)) for mask in range(1, 16))
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
@@ -129,13 +132,13 @@ class CameraModel:
 
     @cached_property
     def focal(self) -> np.ndarray:
-        """(fx, fy) as one read-only array."""
-        return read_only(np.array([self.fx, self.fy], dtype=float))
+        """(fx, fy) as one read-only (2, 1) column."""
+        return read_only(np.array([[self.fx], [self.fy]], dtype=float))
 
     @cached_property
     def center(self) -> np.ndarray:
-        """(cx, cy) as one read-only array."""
-        return read_only(np.array([self.cx, self.cy], dtype=float))
+        """(cx, cy) as one read-only (2, 1) column."""
+        return read_only(np.array([[self.cx], [self.cy]], dtype=float))
 
     def intrinsic_matrix(self) -> np.ndarray:
         """3x3 intrinsic matrix K."""
@@ -216,15 +219,26 @@ def project_points(camera: CameraModel, points) -> np.ndarray:
     """Row-wise pinhole projection of camera-frame points.
 
     points has shape (..., 3); the result has shape (..., 2). This is the
-    only place the pinhole model (fx*x/z + cx, fy*y/z + cy) is written;
-    project() is its one-point call. Raises NonPositiveDepthError when any
-    point is at or behind the camera.
+    depth check plus _pinhole, the only place the pinhole model
+    (fx*x/z + cx, fy*y/z + cy) is written; project() is its one-point call.
+    Raises NonPositiveDepthError when any point is at or behind the camera.
     """
     p = np.asarray(points, dtype=float)
-    z = p[..., 2:3]
-    if (z <= MIN_PROJECTION_DEPTH).any():
+    if (p[..., 2] <= MIN_PROJECTION_DEPTH).any():
         raise NonPositiveDepthError("a point is at or behind the camera")
-    return camera.focal * p[..., :2] / z + camera.center
+    return _pinhole(camera, p)
+
+
+def _pinhole(camera: CameraModel, p: np.ndarray) -> np.ndarray:
+    """project_points of float64 points p (..., 3), none at or behind the
+    camera, without the depth check: a new C-ordered (..., 2) array."""
+    out = np.empty(p.shape[:-1] + (2,))
+    # Coordinate-first views, iterated in C order: inner loops run over points.
+    xyz, uv = p.reshape(-1, 3).T, out.reshape(-1, 2).T
+    np.multiply(camera.focal, xyz[:2], out=uv, order="C")
+    np.divide(uv, xyz[2], out=uv, order="C")
+    np.add(uv, camera.center, out=uv, order="C")
+    return out
 
 
 def ray_from_pixel(camera: CameraModel, pixel) -> np.ndarray:

@@ -40,18 +40,18 @@ predicted stacks a row at a time. One ukf.track_states call turns the
 stacks into every live track's new TrackState. A detection without joints
 is never located, so it spawns nothing.
 
-Ingest merges a detection's keypoints into the four joints. The merge has
-one implementation with two readers: merge_keypoints reads the detection
-stream's [u, v, conf], merge_joint_pairs a (pixel, conf) pair. Both read a
-keypoint's confidence first and its pixel only when the keypoint is kept.
-A detection's merged joints are one read-only mapping in measurement
-order: their kinds, their confidences, each checked once by
-JointDetection's rule, and their pixels as one read-only (k, 2) float64
-block, made by one np.array call. A JointDetection is built only when a
-caller reads joints[kind], and its pixel is a read-only view of its row.
-Ingested boxes and detections are built without re-running __post_init__.
-A Detection built in code copies the given pixels into a block of its own,
-so the frame path reads every detection the same way.
+Ingest merges a detection's keypoints into the four joints in one pass
+that reads a keypoint's confidence first, its pixel only when it is kept,
+and puts it in its name's slot of a fixed table. A detection's merged
+joints are one read-only mapping in measurement order: their kinds, their
+confidences, each checked once by JointDetection's rule, and their pixels
+as a (k, 2) float64 block, a read-only row slice of one array per frame
+(per call of merge_keypoints or merge_joint_pairs). A JointDetection is
+built only when a caller reads joints[kind], its pixel a read-only view of
+its row. Ingested boxes and detections are built without re-running
+__post_init__. A Detection built in code copies the given pixels into a
+block of its own, so the frame path reads every detection the same way.
+Joints and detections compare by value.
 
 Sessions are single-writer state machines: process_frame calls must be
 serialized per session, while distinct sessions are independent. Returned
@@ -113,8 +113,7 @@ class JointDetection:
     """One merged joint observation: pixel plus detector confidence.
 
     The pixel of a joint read from an ingested detection is a read-only
-    view of that detection's pixel block, so writing into it raises
-    ValueError.
+    view of its frame's pixel array, so writing into it raises ValueError.
     """
 
     pixel: np.ndarray
@@ -128,14 +127,19 @@ class JointDetection:
         if not (type(pixel) is np.ndarray and pixel.dtype == np.float64 and pixel.shape == (2,)):
             object.__setattr__(self, "pixel", np.asarray(pixel, dtype=float).reshape(2))
 
+    def __eq__(self, other):  # by value; a NaN pixel is unequal, as a NaN float is
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return bool((self.pixel == other.pixel).all()) and self.confidence == other.confidence
+
 
 class _Joints(Mapping[JointKind, JointDetection]):
     """A detection's merged joints as one pixel block.
 
     kinds is a tuple in JOINT_ORDER, pixels the (k, 2) float64 block whose
     row i is the pixel of kinds[i], and confidences theirs; the frame path
-    reads only these. Ingest's block is read-only; a Detection built in
-    code holds its own copy of the given pixels.
+    reads only these. Ingest's block is a read-only row slice of its frame's
+    one array; a Detection built in code holds its own copy of the pixels.
     joints[kind] is a JointDetection: the given object for a Detection
     built in code, otherwise one built when the kind is first read, whose
     pixel is a view of its row, kept by JointDetection's own rule.
@@ -257,20 +261,15 @@ class FrameResult:
     unmatched_detections: Tuple[int, ...]
 
 
-# Each merged pair joint: its pre-merged name, which takes precedence, then
-# the raw 17-keypoint skeleton names that feed it.
-_PAIR_NAMES = (
-    (JointKind.HIP, "hip", "left_hip", "right_hip"),
-    (JointKind.KNEE, "knee", "left_knee", "right_knee"),
-    (JointKind.ANKLE, "ankle", "left_ankle", "right_ankle"),
-)
-
-
-def _pixel(pixel: Sequence[float]) -> Tuple[float, float]:
-    """The two floats np.asarray(pixel, dtype=float).reshape(2) holds, or its
-    error."""
-    u, v = np.asarray(pixel, dtype=float).reshape(2).tolist()
-    return u, v
+# The merge's slots: joint k's pre-merged name, which takes precedence, in
+# slot 3k, then the two 17-keypoint skeleton names that feed it.
+_SLOTS = {name: slot for slot, name in enumerate((
+    "neck", "left_shoulder", "right_shoulder", "hip", "left_hip", "right_hip",
+    "knee", "left_knee", "right_knee", "ankle", "left_ankle", "right_ankle",
+))}
+_KIND_SLOTS = tuple((kind, 3 * kind) for kind in JOINT_ORDER)
+# Stands in for v when merge_joint_pairs passes a (pixel, conf) pair on.
+_WHOLE_PIXEL = object()
 
 
 def merge_joint_pairs(
@@ -284,22 +283,18 @@ def merge_joint_pairs(
     horizontal coordinate is the box center, the vertical one the mean of
     the pair (or the single visible joint's). The neck is taken directly
     when present, otherwise from the shoulder midpoint. Keypoints below
-    min_confidence are dropped first; pre-merged 4-joint streams pass
-    through unchanged. Every kept keypoint's pixel must read as two
-    numbers (a null reads as NaN), and every merged confidence must lie in
-    [0, 1]; otherwise ValueError or TypeError.
+    min_confidence (or NaN) are dropped unchecked; pre-merged streams pass
+    through unchanged. A kept pixel must read as two numbers (null reads as
+    NaN) and a merged confidence (a kept 1.5, not a dropped -0.5) must lie
+    in [0, 1]; otherwise ValueError or TypeError.
 
     raw_joints maps each name to (pixel, conf); merge_keypoints reads the
     stream's [u, v, conf] instead, and both merge the same way. The result
     is a read-only mapping in measurement order (JOINT_ORDER) whose pixels
     are rows of one read-only block; it equals {} when nothing is kept.
     """
-    usable: Dict[str, Tuple[Tuple[float, float], float]] = {}
-    for name, (pixel, conf) in raw_joints.items():
-        conf = float(conf)
-        if conf >= min_confidence:
-            usable[name] = (_pixel(pixel), conf)
-    return _merge_usable(usable, box) if usable else _NO_JOINTS
+    keypoints = ((name, (pixel, _WHOLE_PIXEL, conf)) for name, (pixel, conf) in raw_joints.items())
+    return _merged_alone(keypoints, box, min_confidence)
 
 
 def merge_keypoints(
@@ -309,68 +304,81 @@ def merge_keypoints(
 
     Each keypoint is read once: its three values, then its confidence, and
     only a kept keypoint's pixel is read as two numbers, so a suppressed
-    keypoint's pixel may be anything. Every keypoint of every detection
-    passes here, so the keypoints are handled as plain floats, and the
-    merged pixels become one array per detection.
+    keypoint's pixel may be anything. This is ingest's merge, for one
+    detection with a pixel block of its own.
     """
-    usable: Dict[str, Tuple[Tuple[float, float], float]] = {}
-    for name, vals in keypoints.items():
+    return _merged_alone(keypoints.items(), box, min_confidence)
+
+
+def _merged_alone(keypoints, box: BoundingBox, min_confidence: float) -> "_Joints":
+    pixels: List[float] = []
+    joints = _merge(keypoints, box, min_confidence, pixels)
+    if pixels:
+        _share_block([joints], pixels)
+    return joints
+
+
+def _merge(keypoints, box: BoundingBox, min_confidence: float, pixels: List[float]) -> "_Joints":
+    """The merge of (name, [u, v, conf]) pairs: the merged joints, their
+    pixels appended to pixels as u, v, ... and not yet set (_share_block
+    sets them), or _NO_JOINTS when no slot is filled."""
+    slots = None
+    for name, vals in keypoints:
         u, v, conf = vals[0], vals[1], vals[2]
         conf = float(conf)
         if conf >= min_confidence:
             if type(u) is not float or type(v) is not float:
-                u, v = _pixel((u, v))
-            usable[name] = ((u, v), conf)
-    return _merge_usable(usable, box) if usable else _NO_JOINTS
+                pixel = u if v is _WHOLE_PIXEL else (u, v)
+                u, v = np.asarray(pixel, dtype=float).reshape(2).tolist()
+            slot = _SLOTS.get(name)
+            if slot is not None:
+                if slots is None:
+                    slots = [None] * len(_SLOTS)
+                slots[slot] = (u, v, conf)
+    if slots is None:
+        return _NO_JOINTS
 
-
-def _merge_usable(
-    usable: Mapping[str, Tuple[Tuple[float, float], float]], box: BoundingBox
-) -> _Joints:
-    """The merge of both readers, over the kept keypoints' (pixel, conf),
-    at least one, with each pixel two floats. Each merged confidence is
-    checked once here, by JointDetection's rule, and the merged pixels
-    become one read-only block."""
-    merged: List[Tuple[JointKind, Tuple[float, float], float]] = []
-    joint = usable.get("neck")
-    if joint is None:
-        left, right = usable.get("left_shoulder"), usable.get("right_shoulder")
-        if left is not None and right is not None:
-            (lu, lv), lc = left
-            (ru, rv), rc = right
-            joint = ((0.5 * (lu + ru), 0.5 * (lv + rv)), 0.5 * (lc + rc))
-        else:
-            joint = left or right
-    if joint is not None:
-        merged.append((JointKind.NECK, *joint))
-
-    for kind, name, left_name, right_name in _PAIR_NAMES:
-        joint = usable.get(name)
+    kinds, confidences = [], []
+    for kind, slot in _KIND_SLOTS:
+        joint = slots[slot]
         if joint is None:
-            left, right = usable.get(left_name), usable.get(right_name)
+            left, right = slots[slot + 1], slots[slot + 2]
+            if left is None and right is None:
+                continue
+            if slot == 0:  # the neck: the shoulders' midpoint, or the one shoulder
+                if left is not None and right is not None:
+                    joint = tuple(0.5 * (a + b) for a, b in zip(left, right))
+                else:
+                    joint = left or right
             # Means as np.mean computes them: the sum starts from 0.0 (so a
             # -0.0 alone gives 0.0), then is divided by the count.
-            if left is not None and right is not None:
-                v = (0.0 + left[0][1] + right[0][1]) / 2
-                joint = ((box.u, v), (0.0 + left[1] + right[1]) / 2)
-            elif left is not None or right is not None:
-                (_, v), conf = left or right
-                joint = ((box.u, 0.0 + v), 0.0 + conf)
+            elif left is not None and right is not None:
+                joint = (box.u, (0.0 + left[1] + right[1]) / 2, (0.0 + left[2] + right[2]) / 2)
             else:
-                continue
-        merged.append((kind, *joint))
-
-    if not merged:
-        return _NO_JOINTS
-    kinds, pixels, confidences = zip(*merged)
-    for conf in confidences:
+                _, v, conf = left or right
+                joint = (box.u, 0.0 + v, 0.0 + conf)
+        u, v, conf = joint
         if not 0.0 <= conf <= 1.0:
             raise ValueError("confidence must be in [0, 1]")
+        kinds.append(kind)
+        pixels += u, v
+        confidences.append(conf)
+    return _Joints(tuple(kinds), None, tuple(confidences))
+
+
+def _share_block(joints: Sequence["_Joints"], pixels: List[float]) -> None:
+    """Set the pixels of each of joints, in order, to its rows of one
+    read-only (n, 2) float64 block made from pixels by one np.array call."""
     block = np.array(pixels, dtype=float)
     # Not geometry.read_only: ingest makes no call into another module per
-    # detection, which perfbench's tracer would count as a geometry call.
+    # frame, which perfbench's tracer would count as a geometry call.
     block.flags.writeable = False
-    return _Joints(kinds, block, confidences)
+    block = block.reshape(-1, 2)
+    start = 0
+    for merged in joints:
+        stop = start + len(merged.kinds)
+        merged.pixels = block[start:stop]
+        start = stop
 
 
 # Spawned tracks are placed with average adult proportions.
@@ -463,10 +471,13 @@ class TrackingSession:
         self._tracks.append(track)
         return track
 
-    def _usable(self, joints: _Joints) -> Tuple[List[JointKind], List[int]]:
+    def _usable(self, joints: _Joints) -> Tuple[List[JointKind], Sequence[int]]:
         """The kinds of joints in use_joints with at least min_confidence, in
         measurement order (JOINT_ORDER), and their rows in joints.pixels."""
         allowed, min_confidence = self._use_joints, self.config.min_confidence
+        kinds = joints.kinds
+        if kinds and min(joints.confidences) >= min_confidence and allowed.issuperset(kinds):
+            return list(kinds), range(len(kinds))  # every row, without the per-joint loop
         kinds, rows = [], []
         for row, (kind, confidence) in enumerate(zip(joints.kinds, joints.confidences)):
             if kind in allowed and confidence >= min_confidence:

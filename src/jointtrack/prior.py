@@ -34,6 +34,7 @@ from .errors import (
 )
 from .geometry import (
     JOINT_ORDER,
+    JOINT_SETS,
     CameraModel,
     GroundPlane,
     JointKind,
@@ -87,6 +88,11 @@ class PriorModel:
         """The four joint heights (ankle 0.0) as one read-only array in
         JOINT_ORDER, so a JointKind's value is its column."""
         return read_only(np.array([self.h_neck, self.h_hip, self.h_knee, 0.0], dtype=float))
+
+    @cached_property
+    def heights_by_joints(self) -> Dict[Tuple[JointKind, ...], np.ndarray]:
+        """heights[list(kinds)], read-only, keyed by each of the 15 JOINT_SETS."""
+        return {kinds: read_only(self.heights[list(kinds)]) for kinds in JOINT_SETS}
 
     def height_of(self, kind: JointKind) -> float:
         if kind is JointKind.NECK:

@@ -11,19 +11,20 @@ Detection stream, one record per frame (field names are the wire contract):
 
 Joint names may be the pre-merged four (neck/hip/knee/ankle) or raw
 17-keypoint skeleton names (left_shoulder, right_hip, ...); ingestion
-merges pairs either way, with one call of pipeline.merge_keypoints per
-detection. It reads each keypoint once, its confidence first: a keypoint
-below min_confidence is dropped without its pixel being read, which is
-most of them in a crowd, where a pose detector prints every keypoint of
-every person. Records may carry extra keys (the simulator adds
-"person" for bookkeeping); readers ignore them. A record that lacks a
-field or holds an invalid value (NaN or infinite "t" included) raises
-MalformedRecordError naming it, and read_jsonl raises it with the line
-number for a line that is not UTF-8 or not JSON, such as one cut short. A
-kept keypoint's pixel may be null: it reads as NaN, and an update with it
-counts as a miss. read_jsonl parses with the cyclic garbage collector paused
-(files.collection_paused): decoded records are trees, which reference
-counting frees.
+merges pairs either way, in pipeline's one pass per detection (the merge
+of merge_keypoints). It reads each keypoint once, its confidence first: a
+keypoint below min_confidence is dropped without its pixel being read,
+which is most of them in a crowd, where a pose detector prints every
+keypoint of every person. A frame's merged pixels are one read-only array,
+and each detection's joints a row slice of it. Records may carry extra
+keys (the simulator adds "person" for bookkeeping); readers ignore them. A
+record that lacks a field or holds an invalid value (NaN or infinite "t"
+included) raises MalformedRecordError naming it, and read_jsonl raises it
+with the line number for a line that is not UTF-8 or not JSON, such as one
+cut short. A kept keypoint's pixel may be null: it reads as NaN, and an
+update with it counts as a miss. read_jsonl parses with the cyclic
+garbage collector paused (files.collection_paused): decoded records are
+trees, which reference counting frees.
 
 Track log, one record per processed frame:
 
@@ -46,7 +47,7 @@ from typing import Any, Dict, Iterable, List, Mapping
 from .association import BoundingBox
 from .errors import MalformedRecordError
 from .files import collection_paused, open_bytes, write_text
-from .pipeline import Detection, Frame, FrameResult, merge_keypoints
+from .pipeline import _NO_JOINTS, Detection, Frame, FrameResult, _merge, _share_block
 
 
 def detection_frame_from_record(record: Mapping[str, Any], min_confidence: float) -> Frame:
@@ -55,27 +56,33 @@ def detection_frame_from_record(record: Mapping[str, Any], min_confidence: float
     Raises:
         MalformedRecordError: a field is missing or its value is invalid
             (a box that is not four finite numbers with positive size, a
-            joint that is not [u, v, conf] with conf in [0, 1], a t that
-            is not a finite number, a reid_hint that is neither an int nor
-            an integral float (a bool or a string is neither), or an
-            integer too large for a float); the message names the field.
+            joint that is not [u, v, conf] with a number conf, a kept one
+            (conf >= min_confidence: not -0.5, not NaN) whose pixel is not
+            two numbers or whose merged conf is outside [0, 1], a t that is
+            not a finite number, a reid_hint that is neither an int nor an
+            integral float (a bool or a string is neither), or an integer
+            too large for a float); the message names the field.
     """
     index, field = None, "t"
     try:
         timestamp = float(record["t"])
         if not math.isfinite(timestamp):
             raise ValueError("t must be finite")
-        detections = []
+        detections, merged, pixels = [], [], []
         field = "detections"
         for index, det in enumerate(record.get("detections", [])):
             field = "box"
             box = BoundingBox.from_list(det["box"])
             field = "joints"
-            joints = merge_keypoints(det.get("joints", {}), box, min_confidence)
-            # Merged joints are already a block, so built without __post_init__.
+            joints = _merge(det.get("joints", {}).items(), box, min_confidence, pixels)
+            if joints is not _NO_JOINTS:
+                merged.append(joints)
+            # Merged joints are already checked, so built without __post_init__.
             detection = object.__new__(Detection)
             detection.__dict__.update(box=box, joints=joints)
             detections.append(detection)
+        if merged:
+            _share_block(merged, pixels)
         index, field = None, "reid_hint"
         hint = record.get("reid_hint")
         # A hint names one detection: an int, or a float that is one exactly.

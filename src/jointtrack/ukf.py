@@ -16,26 +16,28 @@ detection stability.
 The filter runs once per frame for all tracks: predict_batch propagates
 every track together, and update_batch draws every matched track's sigma
 points with one stacked Cholesky, then groups the tracks by visible-joint
-set; each group projects all of its sigma points through
-geometry.project_points in one call and solves for all of its gains with
-one batched solve. A track whose sigma points cross behind the camera, or
+set; each group projects all of its sigma points through the pinhole core
+(geometry._pinhole) in one call and solves for all of its gains with one
+batched solve. A track whose sigma points cross behind the camera, or
 whose covariance has no square root even with jitter, fails alone; every
 other track gets the same posterior as it would alone. A batch whose one
 group holds every track (the common case: every person in view shows the
 same joints) is neither gathered into the group nor written back: the
-group's posterior stacks are the output. predict, update and observe are
-the one-track calls of the same code. track_states turns the
-frame's (T, 4) means and (T, 4, 4) covariances into T TrackStates at once:
-one copy and one symmetry check per stack, by the rule TrackState applies
-to one row, and each state holds read-only views of its rows, from which
-the pipeline predicts the next frame while its tracks keep these states.
+group's posterior stacks are the output, and the inputs are copied only
+for a write-back. predict, update and observe are the one-track calls of
+the same code. track_states turns the frame's (T, 4) means and (T, 4, 4)
+covariances into T TrackStates at once: one copy and one symmetry check
+per stack, by the rule TrackState applies to one row, and each state holds
+read-only views of its rows, from which the pipeline predicts the next
+frame while its tracks keep these states.
 
 The paper's own sequences follow one person, so most calls carry one
 track, and their cost is the number of numpy calls, not the arithmetic.
 What does not change between frames is therefore computed once: the
 sigma-point weights and the measurement noise R of each of the 15
 visible-joint sets once per UkfParams, and a person's four joint heights
-once per PriorModel, as one read-only array indexed by JointKind.
+once per PriorModel, as one read-only array indexed by JointKind and as
+the read-only heights of each of the 15 sets (heights_by_joints).
 """
 
 import math
@@ -54,12 +56,13 @@ from .errors import (
 )
 from .geometry import (
     JOINT_ORDER,
+    JOINT_SETS,
     MIN_PROJECTION_DEPTH,
     CameraModel,
     GroundPlane,
     JointKind,
+    _pinhole,
     joint_position,
-    project_points,
     read_only,
 )
 from .prior import PriorModel
@@ -191,8 +194,7 @@ class UkfParams:
     def noise_by_joints(self) -> Dict[Tuple[JointKind, ...], np.ndarray]:
         """measurement_noise() of each of the 15 visible-joint sets, read-only,
         keyed by the set in measurement order."""
-        sets = (tuple(k for k in JOINT_ORDER if mask & (1 << k)) for mask in range(1, 16))
-        return {kinds: read_only(measurement_noise(kinds, self)) for kinds in sets}
+        return {kinds: read_only(measurement_noise(kinds, self)) for kinds in JOINT_SETS}
 
 
 def transition_matrix(dt: float) -> np.ndarray:
@@ -268,7 +270,7 @@ def _project_joints(
     )
     if behind.any():
         joints = joints[~behind]
-    pixels = project_points(camera, joints)
+    pixels = _pinhole(camera, joints)  # every joint left is deeper than the limit
     return behind, pixels.reshape(pixels.shape[0], states.shape[1], 2 * heights.shape[1])
 
 
@@ -401,25 +403,24 @@ def update_batch(
 
     points, errors = _sigma_points(means, covs, params)
     wm, wc = params.weights
-    out_s, out_p = means.copy(), covs.copy()
+    out_s = out_p = None  # the input stacks, copied on the first write-back
     for kinds, members in groups.items():
         live = [t for t in members if errors[t] is None]
         if not live:
             continue
-        rows = np.array(live)
+        whole = len(live) == len(means)
         # A group of every row, in order, is neither gathered nor scattered.
-        sigma = points if len(live) == len(means) else points[rows]
-        heights = np.array([priors[t].heights for t in live])[:, kinds]
+        sigma = points if whole else points[live]
+        heights = np.array([priors[t].heights_by_joints[kinds] for t in live])
         behind, z_sigma = _project_joints(sigma, heights, camera, ground)
-        if len(z_sigma) < len(rows):  # some track is behind the camera
+        if len(z_sigma) < len(live):  # some track is behind the camera
+            rows = np.array(live)
             for t in rows[behind].tolist():
                 errors[t] = BehindCameraError("a sigma point left the camera's front halfspace")
-            rows, sigma = rows[~behind], sigma[~behind]
-            if rows.size == 0:
+            live, sigma, whole = rows[~behind].tolist(), sigma[~behind], False
+            if not live:
                 continue
-            live = rows.tolist()
-        whole = len(live) == len(means)
-        s, p = sigma[:, 0], covs if whole else covs[rows]
+        s, p = sigma[:, 0], covs if whole else covs[live]
         dz = z_sigma - wm @ z_sigma
         ds = sigma - sigma[:, :1]
         innovation_cov = (wc * dz).transpose(0, 2, 1) @ dz + noise[kinds]
@@ -438,9 +439,10 @@ def update_batch(
         p_new = 0.5 * (p_new + p_new.transpose(0, 2, 1))
         if whole:  # the only group
             return s_new, p_new, errors
-        out_s[rows] = s_new
-        out_p[rows] = p_new
-    return out_s, out_p, errors
+        if out_s is None:
+            out_s, out_p = means.copy(), covs.copy()
+        out_s[live], out_p[live] = s_new, p_new
+    return (means.copy(), covs.copy(), errors) if out_s is None else (out_s, out_p, errors)
 
 
 def update(

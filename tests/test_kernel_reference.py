@@ -13,7 +13,10 @@ The same holds for the work the pipeline now does once for all tracks:
 ukf.track_states against one TrackState per row, and a matched detection's
 update measurement against the per-joint filter followed by
 ukf.measurement_from_joints, for a detection built in code and for the
-same joints ingested as one pixel block.
+same joints ingested as one pixel block. The keypoint merge, now one pass
+that puts each kept keypoint in a slot, is checked against the dict of
+kept keypoints it used to build: the same kinds, pixel and confidence
+bits, or the same exception type and message, alone and through ingest.
 """
 
 import struct
@@ -33,6 +36,7 @@ from jointtrack.association import (
 from jointtrack.config import CameraSetup, RunConfig
 from jointtrack.errors import (
     BehindCameraError,
+    MalformedRecordError,
     NonPositiveDepthError,
     NonPositiveDtError,
     ObservationDimensionError,
@@ -47,7 +51,7 @@ from jointtrack.geometry import (
     joint_position,
     project_points,
 )
-from jointtrack.pipeline import Detection, JointDetection, TrackingSession
+from jointtrack.pipeline import Detection, JointDetection, TrackingSession, merge_keypoints
 from jointtrack.prior import PriorModel
 from jointtrack.streams import detection_frame_from_record
 from jointtrack.ukf import (
@@ -809,3 +813,205 @@ def test_measurement_named_cases():
     assert kinds == list(at_limit)
     # Nothing usable: no measurement.
     assert assert_same_measurement(config, detection(lambda k: below)) is None
+
+
+# -- the keypoint merge --------------------------------------------------------
+
+# The merge as it was written before it became one pass over slots: each kept
+# keypoint went into a dict by name, from which the joints were looked up.
+REF_PAIR_NAMES = (
+    (JointKind.HIP, "hip", "left_hip", "right_hip"),
+    (JointKind.KNEE, "knee", "left_knee", "right_knee"),
+    (JointKind.ANKLE, "ankle", "left_ankle", "right_ankle"),
+)
+
+
+def ref_merge_usable(usable, box):
+    merged = []
+    joint = usable.get("neck")
+    if joint is None:
+        left, right = usable.get("left_shoulder"), usable.get("right_shoulder")
+        if left is not None and right is not None:
+            (lu, lv), lc = left
+            (ru, rv), rc = right
+            joint = ((0.5 * (lu + ru), 0.5 * (lv + rv)), 0.5 * (lc + rc))
+        else:
+            joint = left or right
+    if joint is not None:
+        merged.append((JointKind.NECK, *joint))
+    for kind, name, left_name, right_name in REF_PAIR_NAMES:
+        joint = usable.get(name)
+        if joint is None:
+            left, right = usable.get(left_name), usable.get(right_name)
+            if left is not None and right is not None:
+                v = (0.0 + left[0][1] + right[0][1]) / 2
+                joint = ((box.u, v), (0.0 + left[1] + right[1]) / 2)
+            elif left is not None or right is not None:
+                (_, v), conf = left or right
+                joint = ((box.u, 0.0 + v), 0.0 + conf)
+            else:
+                continue
+        merged.append((kind, *joint))
+    if not merged:
+        return (), np.empty((0, 2)), ()
+    kinds, pixels, confidences = zip(*merged)
+    for conf in confidences:
+        if not 0.0 <= conf <= 1.0:
+            raise ValueError("confidence must be in [0, 1]")
+    return kinds, np.array(pixels, dtype=float), confidences
+
+
+def ref_merge(keypoints, box, min_confidence):
+    """(kinds, (k, 2) pixels, confidences) of merge_keypoints as it was."""
+    usable = {}
+    for name, vals in keypoints.items():
+        u, v, conf = vals[0], vals[1], vals[2]
+        conf = float(conf)
+        if conf >= min_confidence:
+            if type(u) is not float or type(v) is not float:
+                u, v = np.asarray((u, v), dtype=float).reshape(2).tolist()
+            usable[name] = ((u, v), conf)
+    return ref_merge_usable(usable, box) if usable else ((), np.empty((0, 2)), ())
+
+
+def merged_fields(joints):
+    return tuple(joints.kinds), joints.pixels, tuple(joints.confidences)
+
+
+def merge_outcome(fn, *args):
+    """fn's kinds, pixel bits and confidence bits, or its exception's type
+    and message."""
+    try:
+        kinds, pixels, confidences = fn(*args)
+    except Exception as exc:  # the type and the message are what is compared
+        return "raised", type(exc), str(exc)
+    return "returned", kinds, pixels.dtype.str, pixels.shape, pixels.tobytes(), canon(confidences)
+
+
+MERGE_NAME_SETS = {
+    "pre-merged": ("neck", "hip", "knee", "ankle"),
+    "coco pairs": ("left_shoulder", "right_shoulder", "left_hip", "right_hip", "left_knee",
+                   "right_knee", "left_ankle", "right_ankle"),
+    "one side": ("left_shoulder", "left_hip", "left_knee", "left_ankle"),
+    "other side": ("right_shoulder", "right_hip", "right_knee", "right_ankle"),
+    "shoulders": ("left_shoulder", "right_shoulder"),
+    "mixed": ("neck", "hip", "left_hip", "right_knee", "ankle", "left_ankle", "right_shoulder"),
+}
+EXTRA_NAMES = ("nose", "left_elbow", "right_wrist", "Neck", "tail", "")
+
+
+@st.composite
+def keypoint_maps(draw):
+    """(min_confidence, keypoints, box): a detection's {name: [u, v, conf]}
+    over one of the name sets above plus extra names, in any order, with
+    confidences at and just around min_confidence, kept ones outside
+    [0, 1], and pixels that are floats, ints, None or strings, or keypoints
+    that are short lists."""
+    min_confidence = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    names = list(MERGE_NAME_SETS[draw(st.sampled_from(sorted(MERGE_NAME_SETS)))])
+    names = draw(st.lists(st.sampled_from(names), max_size=len(names), unique=True))
+    names += draw(st.lists(st.sampled_from(EXTRA_NAMES), max_size=2, unique=True))
+    confidences = st.one_of(
+        st.sampled_from([
+            min_confidence, float(np.nextafter(min_confidence, -1.0)),
+            float(np.nextafter(min_confidence, 2.0)), 0.0, -0.0, 1.0, 1.0000000000000002,
+            1.5, -0.5, float("inf"), float("nan"),
+        ]),
+        st.floats(0.0, 1.0),
+    )
+    # -0.0 often: a merged mean keeps or loses its sign bit.
+    coordinate = st.one_of(
+        st.just(-0.0), finite_or_special(-50.0, 700.0), finite_or_special(-50.0, 700.0),
+        st.integers(-50, 700), st.none(), st.sampled_from(["1.5", "x", ""]),
+    )
+    keypoints = {}
+    for name in draw(st.permutations(names)):
+        value = [draw(coordinate), draw(coordinate), draw(confidences)]
+        keypoints[name] = value[: draw(st.sampled_from([3, 3, 3, 3, 2, 1]))]
+    box = BoundingBox(u=draw(st.sampled_from([400.0, -0.0, 0.5])), v=300.0, w=80.0, h=260.0)
+    return min_confidence, keypoints, box
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(keypoint_maps())
+def test_merge_keypoints_matches_reference(case):
+    min_confidence, keypoints, box = case
+    expected = merge_outcome(ref_merge, keypoints, box, min_confidence)
+
+    def merged(keypoints, box, min_confidence):
+        return merged_fields(merge_keypoints(keypoints, box, min_confidence))
+
+    assert merge_outcome(merged, keypoints, box, min_confidence) == expected
+
+
+def ref_ingest(record, min_confidence):
+    """Every detection's merge_outcome, or the MalformedRecordError message
+    detection_frame_from_record gives for the first one that raises."""
+    outcomes = []
+    for index, det in enumerate(record["detections"]):
+        box = BoundingBox.from_list(det["box"])
+        result = merge_outcome(ref_merge, det.get("joints", {}), box, min_confidence)
+        if result[0] == "raised":
+            _, kind, message = result
+            return f"malformed detections[{index}].joints: {kind.__name__}: {message}"
+        outcomes.append(result)
+    return outcomes
+
+
+def ingest(record, min_confidence):
+    try:
+        frame = detection_frame_from_record(record, min_confidence)
+    except MalformedRecordError as exc:
+        return str(exc)
+    return [
+        merge_outcome(merged_fields, detection.joints) for detection in frame.detections
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(keypoint_maps(), min_size=1, max_size=4))
+def test_ingest_merge_matches_reference(cases):
+    min_confidence = cases[0][0]  # the other maps' confidences sit around their own
+    record = {
+        "t": 0.5,
+        "detections": [{"box": box.to_list(), "joints": keypoints} for _, keypoints, box in cases],
+    }
+    assert ingest(record, min_confidence) == ref_ingest(record, min_confidence)
+
+
+MERGE_CASES = [
+    {"left_hip": [1.0, -0.0, 0.9], "right_hip": [2.0, -0.0, 0.8]},  # 0.0 + -0.0 + -0.0
+    {"left_knee": [1.0, -0.0, 0.9]},
+    {"left_shoulder": [-0.0, -0.0, 0.5], "right_shoulder": [-0.0, -0.0, 0.7]},
+    {"right_shoulder": [3.0, 4.0, 0.7], "ankle": [5, None, 1.0], "left_ankle": [1.0, 2.0, 0.9]},
+    {"nose": ["x", 1.0, 0.9], "neck": [1.0, 2.0, 0.9]},
+    {"neck": [1.0, 2.0, 0.9], "nose": ["x", 1.0, 0.1]},
+    {"hip": [1.0, 2.0, 1.5], "left_hip": [1.0, 2.0, 0.5]},
+    {"left_hip": [1.0, 2.0, 1.5], "right_hip": [1.0, 2.0, 0.5]},
+    {"left_hip": [1.0, 2.0, 1.5], "right_hip": [1.0, 2.0, 0.1]},
+    {"knee": [1.0, 2.0]},
+    {"knee": [1.0, 2.0, "0.5"], "ankle": [1.0, 2.0, "x"]},
+]
+
+
+@pytest.mark.parametrize("keypoints", MERGE_CASES)
+def test_merge_named_cases_match_reference(keypoints):
+
+    def merged(keypoints, box, min_confidence):
+        return merged_fields(merge_keypoints(keypoints, box, min_confidence))
+
+    expected = merge_outcome(ref_merge, keypoints, BOX, 0.3)
+    assert merge_outcome(merged, keypoints, BOX, 0.3) == expected
+    record = {"t": 0.5, "detections": [{"box": BOX.to_list(), "joints": keypoints}]}
+    assert ingest(record, 0.3) == ref_ingest(record, 0.3)
+
+
+def test_ingest_of_a_frame_matches_reference_detection_by_detection():
+    # Every detection's rows of the frame's one pixel array, box-only
+    # detections among them.
+    kept = [kp for kp in MERGE_CASES if merge_outcome(ref_merge, kp, BOX, 0.3)[0] == "returned"]
+    detections = [{"box": BOX.to_list(), "joints": kp} for kp in kept]
+    detections[1:1] = [{"box": BOX.to_list()}, {"box": BOX.to_list(), "joints": {"nose": [1, 2, 0.9]}}]
+    record = {"t": 0.5, "detections": detections}
+    outcomes = ingest(record, 0.3)
+    assert len(outcomes) == len(kept) + 2 and outcomes == ref_ingest(record, 0.3)

@@ -75,6 +75,19 @@ class TestPriorModel:
         assert p.height_of(JointKind.ANKLE) == 0.0
         assert p.height_of(JointKind.NECK) == p.h_neck
 
+    @pytest.mark.parametrize("mask", range(1, 16))
+    def test_heights_by_joints_is_the_read_only_gather_of_each_set(self, mask):
+        p = PriorModel(h_neck=1.52, h_hip=1.01, h_knee=0.47)
+        kinds = tuple(kind for kind in JOINT_ORDER if mask & (1 << kind))
+        cached, expected = p.heights_by_joints[kinds], p.heights[list(kinds)]
+        assert len(p.heights_by_joints) == 15 and p.heights_by_joints is p.heights_by_joints
+        assert (cached.dtype, cached.shape, cached.tobytes()) == (
+            expected.dtype, expected.shape, expected.tobytes()
+        )
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+
 
 class TestFullBodyObservation:
     def test_missing_joint_rejected(self):

@@ -826,16 +826,23 @@ class TestPixelBlock:
         frame = detection_frame_from_record(_crowd_record(3), 0.3)
         setup = CameraSetup.from_dict(CAMERA_DICT)
         session = TrackingSession(setup.camera, setup.ground, RunConfig(), setup.extrinsics)
+        # Every detection's block is a row slice of the frame's one array.
+        frame_pixels = frame.detections[0].joints.pixels.base
+        assert frame_pixels is not None and not frame_pixels.flags.writeable
+        assert frame_pixels.tolist() == [
+            x for detection in frame.detections for x in detection.joints.pixels.ravel().tolist()
+        ]
         for detection in frame.detections:
             joints = detection.joints
+            assert joints.pixels.base is frame_pixels
             # Every joint is usable: the measurement is the block itself.
             z, kinds = session._measurement(detection)
-            assert z.base is joints.pixels and kinds == list(JOINT_ORDER)
+            assert z.base is frame_pixels and kinds == list(JOINT_ORDER)
             assert list(joints) == list(JOINT_ORDER)
             assert joints.pixels.shape == (4, 2) and not joints.pixels.flags.writeable
             for row, kind in enumerate(JOINT_ORDER):
                 pixel = joints[kind].pixel
-                assert pixel.base is joints.pixels and pixel.tolist() == joints.pixels[row].tolist()
+                assert pixel.base is frame_pixels and pixel.tolist() == joints.pixels[row].tolist()
                 assert joints[kind] is joints[kind]
                 with pytest.raises(ValueError):
                     pixel[0] = 1.0
@@ -873,3 +880,102 @@ class TestPixelBlock:
         hip = frame.detections[0].joints[JointKind.HIP]
         assert _live_joint_detections() == before + 1
         assert hip.pixel.tolist() == [20.0, 220.5]
+
+
+# -- equality and the confidence rule -------------------------------------------------
+
+EQUALITY_RECORD = {
+    "t": 0.5,
+    "detections": [
+        {"box": [400.0, 300.0, 80.0, 260.0],
+         "joints": {"neck": [401.0, 180.0, 0.9], "left_hip": [395.0, 290.0, 0.8],
+                    "right_hip": [405.0, 292.0, 0.7]}},
+        {"box": [100.0, 300.0, 80.0, 260.0]},
+    ],
+}
+
+
+def _ingest_equality_record(edit=None):
+    record = json.loads(json.dumps(EQUALITY_RECORD))
+    if edit is not None:
+        edit(record["detections"][0])
+    return detection_frame_from_record(record, 0.3)
+
+
+class TestEquality:
+    """Detections and joints compare by value: no two ingestions share a
+    pixel array."""
+
+    def test_two_ingestions_of_one_record_compare_equal(self):
+        first, second = _ingest_equality_record(), _ingest_equality_record()
+        assert first.detections[0].joints.pixels.base is not second.detections[0].joints.pixels.base
+        assert first == second
+        for a, b in zip(first.detections, second.detections):
+            assert a == b and a.joints == b.joints and not a != b
+            for kind in a.joints:
+                assert a.joints[kind] == b.joints[kind]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda det: det["joints"]["neck"].__setitem__(0, 401.5),
+            lambda det: det["joints"]["neck"].__setitem__(1, -180.0),
+            lambda det: det["joints"]["neck"].__setitem__(2, 0.95),
+            lambda det: det["joints"]["right_hip"].__setitem__(2, 0.6),  # the merged hip's
+            lambda det: det["box"].__setitem__(3, 261.0),
+            lambda det: det["box"].__setitem__(0, 401.0),  # and the merged hip's u
+            lambda det: det["joints"].pop("left_hip"),
+        ],
+        ids=["neck-u", "neck-v", "neck-conf", "hip-conf", "box-h", "box-u", "hip-side"],
+    )
+    def test_a_changed_pixel_confidence_or_box_compares_unequal(self, edit):
+        first, changed = _ingest_equality_record(), _ingest_equality_record(edit)
+        assert first.detections[0] != changed.detections[0]
+        assert not first.detections[0] == changed.detections[0]
+        assert first.detections[1] == changed.detections[1]
+        assert first != changed
+
+    def test_a_nan_pixel_is_unequal_as_a_nan_float_is(self):
+        def null_neck(det):
+            det["joints"]["neck"][1] = None
+
+        first, second = _ingest_equality_record(null_neck), _ingest_equality_record(null_neck)
+        neck_a = first.detections[0].joints[JointKind.NECK]
+        neck_b = second.detections[0].joints[JointKind.NECK]
+        assert neck_a != neck_b and first.detections[0] != second.detections[0]
+        assert neck_a.pixel.tobytes() == neck_b.pixel.tobytes()
+
+    def test_a_code_built_detection_equals_the_ingested_one(self):
+        ingested = _ingest_equality_record().detections[0]
+        built = Detection(
+            box=BoundingBox(u=400.0, v=300.0, w=80.0, h=260.0),
+            joints={
+                JointKind.HIP: JointDetection(pixel=np.array([400.0, 291.0]), confidence=0.75),
+                JointKind.NECK: JointDetection(pixel=[401, 180], confidence=0.9),
+            },
+        )
+        assert built == ingested and ingested == built
+        assert built.joints == ingested.joints and dict(built.joints) == dict(ingested.joints)
+        off = JointDetection(pixel=[401.0, 180.5], confidence=0.9)
+        assert Detection(box=built.box, joints={**built.joints, JointKind.NECK: off}) != ingested
+        assert JointDetection(pixel=[1.0, 2.0], confidence=0.5) != (np.array([1.0, 2.0]), 0.5)
+
+
+@pytest.mark.parametrize("min_confidence", [-1.0, 0.3, 2.0])
+@pytest.mark.parametrize("confidence", [-0.5, NAN, 1.5])
+def test_only_a_kept_keypoint_confidence_is_checked(confidence, min_confidence):
+    # A keypoint at or above min_confidence is kept, and its merged joint's
+    # confidence must lie in [0, 1]; one below it (NaN never reaches it) is
+    # dropped unread, so an out-of-range confidence there is no error.
+    keypoints = {"neck": [1.0, 2.0, confidence], "ankle": [5.0, 6.0, 1.0]}
+    record = {"t": 0.5, "detections": [{"box": BOX.to_list(), "joints": keypoints}]}
+    kept = confidence >= min_confidence
+    if kept:
+        with pytest.raises(ValueError, match=r"^confidence must be in \[0, 1\]$"):
+            merge_keypoints(keypoints, BOX, min_confidence)
+        with pytest.raises(MalformedRecordError, match=r"detections\[0\]\.joints: ValueError: confidence"):
+            detection_frame_from_record(record, min_confidence)
+    else:
+        assert JointKind.NECK not in merge_keypoints(keypoints, BOX, min_confidence)
+        (detection,) = detection_frame_from_record(record, min_confidence).detections
+        assert JointKind.NECK not in detection.joints
