@@ -123,8 +123,9 @@ class CameraModel:
     image_height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        for name in ("fx", "fy"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not (0 <= self.cx < self.image_width):
             raise ValueError("cx must lie within the image")
         if not (0 <= self.cy < self.image_height):
@@ -160,10 +161,10 @@ class GroundPlane:
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float).reshape(3).copy()
-        if abs(np.linalg.norm(n) - 1.0) > UNIT_NORM_TOL:
-            raise ValueError("ground normal must be unit length")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not abs(np.linalg.norm(n) - 1.0) <= UNIT_NORM_TOL:
+            raise ValueError("ground normal must be finite and unit length")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and positive")
         n.flags.writeable = False
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "gamma", float(self.gamma))
@@ -205,6 +206,10 @@ class RobotExtrinsics:
 
     def __post_init__(self):
         off = np.asarray(self.offset, dtype=float).reshape(3).copy()
+        if not np.isfinite(off).all():
+            raise ValueError("robot offset must be finite")
+        if not math.isfinite(self.tilt):
+            raise InvalidTiltError(f"tilt {self.tilt} is not finite")
         off.flags.writeable = False
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "tilt", float(self.tilt))
@@ -305,10 +310,10 @@ def ground_plane_from_tilt(height: float, tilt: float) -> GroundPlane:
     Tilt may range over [-pi/2, pi/2]; at +pi/2 the camera looks straight
     down and the sky direction is -z.
     """
-    if height <= 0:
-        raise ValueError("camera height must be positive")
-    if abs(tilt) > math.pi / 2:
-        raise InvalidTiltError(f"tilt {tilt} exceeds pi/2")
+    if not 0 < height < math.inf:
+        raise ValueError("camera height must be finite and positive")
+    if not abs(tilt) <= math.pi / 2:
+        raise InvalidTiltError(f"tilt {tilt} is not within [-pi/2, pi/2]")
     normal = np.array([0.0, -math.cos(tilt), -math.sin(tilt)])
     normal /= np.linalg.norm(normal)
     return GroundPlane(normal=normal, gamma=float(height))

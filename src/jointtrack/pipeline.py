@@ -32,13 +32,14 @@ while the live tracks hold exactly those states, in order, and stacks the
 live states anew after a spawn, death, loss or re-init. A matched
 detection's measurement is read from its pixel block: the block itself
 when every joint passes use_joints and min_confidence, otherwise one
-gather of the rows that do. When every live track has a measurement,
-update_batch gets the predicted stacks as they are, and its stacks are
-taken whole when every live track got a finite posterior; otherwise the
-measured rows are gathered and the accepted posteriors go back into the
-predicted stacks a row at a time. One ukf.track_states call turns the
-stacks into every live track's new TrackState. A detection without joints
-is never located, so it spawns nothing.
+gather of the rows that do. update_batch gets the predicted stacks as
+they are and one measurement per live track, in row order, None for a
+track without a usable matched measurement (its rows come back as given).
+Its stacks become the new states, save that a row whose posterior is not
+finite takes its prediction back; update_batch alone gathers and writes
+back rows. One ukf.track_states call turns the stacks into every live
+track's new TrackState. A detection without joints is never located, so
+it spawns nothing.
 
 Ingest merges a detection's keypoints into the four joints in one pass
 that reads a keypoint's confidence first, its pixel only when it is kept,
@@ -539,7 +540,7 @@ class TrackingSession:
         # A track is named by its row in active, in the filter arrays and in match_gnn.
         active = [t for t in self._tracks if t.status is not TrackStatus.LOST]
         states = [t.state for t in active]
-        means, covs, close, boxes = (), (), [], []
+        close, boxes = [], []
         if active:
             # TrackState compares by identity, so == holds exactly when the
             # live tracks still hold the states the last frame stacked.
@@ -566,40 +567,25 @@ class TrackingSession:
         matched_target_box: Optional[BoundingBox] = None
         missed = set(assoc.unmatched_tracks) | {row for row, c in enumerate(close) if c}
 
-        # One batched update of every match with usable joints. A track whose
-        # update fails, or whose posterior is not finite, keeps its prediction.
-        measured: Dict[int, Tuple[np.ndarray, List[JointKind]]] = {}
+        # One batched update of every live track, in row order, with None for
+        # a track without a usable matched measurement. A track whose update
+        # fails, or whose posterior is not finite, keeps its prediction.
+        measurements: List[Optional[Tuple[np.ndarray, List[JointKind]]]] = [None] * len(active)
         for row, j, _dist in assoc.matches:
-            measurement = self._measurement(detections[j])
-            if measurement is not None:
-                measured[row] = measurement
+            measurements[row] = self._measurement(detections[j])
         updated: Set[int] = set()
-        if measured:
-            rows = sorted(measured)
-            # With every live row measured, the predicted stacks go as they are.
-            whole = len(rows) == len(active)
+        if active:
+            priors = [t.prior for t in active]
             post_s, post_p, errors = update_batch(
-                means if whole else means[rows],
-                covs if whole else covs[rows],
-                [measured[r] for r in rows],
-                self.camera,
-                self.ground,
-                [active[r].prior for r in rows],
-                self.config.ukf,
+                means, covs, measurements, self.camera, self.ground, priors, self.config.ukf
             )
             finite = np.isfinite(post_s).all(axis=1) & np.isfinite(post_p).all(axis=(1, 2))
-            if whole and errors.count(None) == len(rows) and finite.all():
-                means, covs = post_s, post_p
-                updated.update(rows)
-            else:
-                # A row at a time: on a one-track frame, two fancy-index
-                # writes cost more than this loop.
-                for r, s, p, error, ok in zip(rows, post_s, post_p, errors, finite):
-                    if error is None and ok:
-                        means[r], covs[r] = s, p
-                        updated.add(r)
-        if active:
-            states = track_states(means, covs)
+            if not finite.all():
+                post_s[~finite], post_p[~finite] = means[~finite], covs[~finite]
+            for row, (z, error, ok) in enumerate(zip(measurements, errors, finite.tolist())):
+                if z is not None and error is None and ok:
+                    updated.add(row)
+            states = track_states(post_s, post_p)
             for track, state in zip(active, states):
                 track.state = state
             self._carried = states

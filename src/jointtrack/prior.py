@@ -16,6 +16,7 @@ solves it; central finite differences serve as the Jacobian oracle in the
 test suite.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
@@ -75,6 +76,9 @@ class PriorModel:
     body_width: float = DEFAULT_BODY_WIDTH
 
     def __post_init__(self):
+        for name in ("h_neck", "h_hip", "h_knee", "body_width"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0 < self.h_knee < self.h_hip < self.h_neck:
             raise AnatomicalOrderError(
                 f"heights must satisfy 0 < knee < hip < neck, got "

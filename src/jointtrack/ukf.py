@@ -14,9 +14,10 @@ smaller default sigmas than lower-body ones, encoding their higher
 detection stability.
 
 The filter runs once per frame for all tracks: predict_batch propagates
-every track together, and update_batch draws every matched track's sigma
-points with one stacked Cholesky, then groups the tracks by visible-joint
-set; each group projects all of its sigma points through the pinhole core
+every track together, and update_batch draws every track's sigma points
+with one stacked Cholesky, then groups the measured tracks by
+visible-joint set (a track without a measurement passes through); each
+group projects all of its sigma points through the pinhole core
 (geometry._pinhole) in one call and solves for all of its gains with one
 batched solve. A track whose sigma points cross behind the camera, or
 whose covariance has no square root even with jitter, fails alone; every
@@ -358,7 +359,7 @@ def measurement_noise(visible: Sequence[JointKind], params: UkfParams) -> np.nda
 def update_batch(
     means: np.ndarray,
     covs: np.ndarray,
-    measurements: Sequence[Tuple[np.ndarray, Sequence[JointKind]]],
+    measurements: Sequence[Optional[Tuple[np.ndarray, Sequence[JointKind]]]],
     camera: CameraModel,
     ground: GroundPlane,
     priors: Sequence[PriorModel],
@@ -367,19 +368,20 @@ def update_batch(
     """Unscented measurement update of T tracks at once.
 
     Track t has mean means[t] (T, 4), covariance covs[t] (T, 4, 4), the
-    pixel measurement measurements[t] = (z, visible) and the prior
-    priors[t]. One stacked Cholesky draws every track's sigma points. Tracks
-    are then grouped by visible-joint set, and each group projects all of
+    prior priors[t] and measurements[t]: its pixel measurement (z, visible),
+    or None if it has none; measurements come one per track, in row order.
+    One stacked Cholesky draws every track's sigma points. The measured
+    tracks are grouped by visible-joint set, and each group projects all of
     its sigma points in one call and solves for all of its gains at once.
 
-    Returns (means, covs, errors). errors[t] is None when track t was
-    updated, and its rows then hold the posterior, bit for bit the one
-    update() returns for that track alone. Otherwise errors[t] is the
-    exception update() would raise for it (SigmaPointFailureError or
-    BehindCameraError) and its rows hold the inputs unchanged. The returned
-    stacks are new arrays. A group that holds every track, in order, is
-    neither gathered nor written back: its posterior stacks are returned
-    as they are.
+    Returns (means, covs, errors), the stacks new arrays. errors[t] is None
+    when track t was updated, and its rows then hold the posterior, bit for
+    bit the one update() returns for that track alone; it is None too when
+    measurements[t] is None, and its rows then hold the inputs unchanged.
+    Otherwise errors[t] is the exception update() would raise for it
+    (SigmaPointFailureError or BehindCameraError), and its rows hold the
+    inputs unchanged. A group that holds every track, in order, is neither
+    gathered nor written back: its posterior stacks are returned as they are.
 
     Raises:
         ObservationDimensionError: some len(z) != 2 * len(visible).
@@ -389,7 +391,11 @@ def update_batch(
     groups: Dict[Tuple[JointKind, ...], List[int]] = {}
     zs = []
     noise = params.noise_by_joints
-    for t, (z, visible) in enumerate(measurements):
+    for t, measurement in enumerate(measurements):
+        if measurement is None:  # returned as given
+            zs.append(None)
+            continue
+        z, visible = measurement
         kinds = tuple(visible)
         if kinds not in noise:  # not a set of kinds in measurement order
             kinds = tuple(visible_in_order(kinds))
@@ -401,7 +407,11 @@ def update_batch(
         zs.append(z)
         groups.setdefault(kinds, []).append(t)
 
+    if not groups:
+        return means.copy(), covs.copy(), [None] * len(means)
     points, errors = _sigma_points(means, covs, params)
+    if any(errors):  # a None row fails nothing
+        errors = [None if z is None else error for z, error in zip(zs, errors)]
     wm, wc = params.weights
     out_s = out_p = None  # the input stacks, copied on the first write-back
     for kinds, members in groups.items():

@@ -231,6 +231,26 @@ class TestGroundPlaneChart:
         with pytest.raises(ValueError):
             GroundPlane(normal=np.array([0.0, -2.0, 0.0]), gamma=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, value):
+        # A NaN compares false both ways, so no check may read "<= 0".
+        with pytest.raises(ValueError, match="normal must be finite"):
+            GroundPlane(normal=np.array([0.0, -1.0, value]), gamma=1.0)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            GroundPlane(normal=np.array([0.0, -1.0, 0.0]), gamma=value)
+        with pytest.raises(ValueError, match="camera height must be finite"):
+            ground_plane_from_tilt(value, 0.1)
+        with pytest.raises(InvalidTiltError):
+            ground_plane_from_tilt(1.0, value)
+        with pytest.raises(ValueError, match="fx must be finite"):
+            CameraModel(fx=value, fy=500.0, cx=320.0, cy=240.0, image_width=640, image_height=480)
+        with pytest.raises(ValueError, match="fy must be finite"):
+            CameraModel(fx=500.0, fy=value, cx=320.0, cy=240.0, image_width=640, image_height=480)
+        with pytest.raises(ValueError, match="robot offset must be finite"):
+            RobotExtrinsics(offset=np.array([value, 0.0, 0.0]))
+        with pytest.raises(InvalidTiltError):
+            RobotExtrinsics(tilt=value)
+
     def test_chart_round_trip(self):
         rng = np.random.default_rng(17)
         for _ in range(100):

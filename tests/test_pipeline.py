@@ -664,8 +664,8 @@ def _canonical_result(result):
 
 
 class TestCarriedStacks:
-    """Predicting from the last frame's stacks, and taking the update's
-    stacks whole, give what rebuilding and writing back row by row give."""
+    """Predicting from the last frame's stacks gives what rebuilding them
+    gives, and the update hands every live track to update_batch at once."""
 
     @staticmethod
     def stream():
@@ -707,31 +707,32 @@ class TestCarriedStacks:
 
     def test_fast_paths_match_their_fallbacks(self, monkeypatch):
         import jointtrack.pipeline as pipeline
+        import jointtrack.ukf as ukf
 
-        counts = {"carried": 0, "rebuilt": 0, "whole": 0, "row_by_row": 0}
-        posterior = {}
+        counts = {"carried": 0, "rebuilt": 0, "whole": 0, "gathered": 0}
+        points = []
 
         def predict_batch(means, covs, dt, params):
             # The carried stacks are track_states' read-only copies.
             counts["rebuilt" if means.flags.writeable else "carried"] += 1
             return real_predict(means, covs, dt, params)
 
-        def update_batch(*args):
-            out = real_update(*args)
-            posterior["s"] = out[0]
+        def sigma_points(*args):
+            out = real_sigma(*args)
+            points.append(out[0])
             return out
 
-        def track_states(means, covs):
-            if "s" in posterior:
-                counts["whole" if means is posterior.pop("s") else "row_by_row"] += 1
-            return real_states(means, covs)
+        def project_joints(states, *rest):
+            # A group of every row projects update_batch's own sigma points.
+            counts["whole" if states is points[-1] else "gathered"] += 1
+            return real_project(states, *rest)
 
-        real_predict, real_update, real_states = (
-            pipeline.predict_batch, pipeline.update_batch, pipeline.track_states
+        real_predict, real_sigma, real_project = (
+            pipeline.predict_batch, ukf._sigma_points, ukf._project_joints
         )
         monkeypatch.setattr(pipeline, "predict_batch", predict_batch)
-        monkeypatch.setattr(pipeline, "update_batch", update_batch)
-        monkeypatch.setattr(pipeline, "track_states", track_states)
+        monkeypatch.setattr(ukf, "_sigma_points", sigma_points)
+        monkeypatch.setattr(ukf, "_project_joints", project_joints)
 
         stream = self.stream()
         shipped = self.run(stream, drop_carried=False)
@@ -755,9 +756,10 @@ class TestCarriedStacks:
         assert (target_id, stream[50]["reid_hint"]) in shipped[50].matches
 
     def test_update_takes_whole_stacks_only_on_clean_frames(self, monkeypatch):
-        # Per frame with an update: were the predicted stacks passed as
-        # they are, did each group project the whole sigma-point stack, and
-        # were update_batch's stacks taken whole?
+        # Per frame with live tracks: did each of update_batch's groups
+        # project the whole sigma-point stack, and which rows kept their
+        # prediction bit for bit? update_batch gets the predicted stacks as
+        # they are, and its stacks are the new states, on every frame.
         import jointtrack.pipeline as pipeline
         import jointtrack.ukf as ukf
 
@@ -777,15 +779,20 @@ class TestCarriedStacks:
             seen["groups"].append(states is seen["points"][0])
             return real_project(states, *rest)
 
-        def update_batch(means, *rest):
-            seen["passed"], seen["groups"] = means is seen["predicted"][0], []
-            seen["posterior"] = out = real_update(means, *rest)
+        def update_batch(means, covs, measurements, *rest):
+            assert means is seen["predicted"][0] and covs is seen["predicted"][1]
+            assert len(measurements) == len(means)
+            seen["groups"] = []
+            seen["posterior"] = out = real_update(means, covs, measurements, *rest)
             return out
 
         def track_states(means, covs):
             if "posterior" in seen:
-                taken = means is seen.pop("posterior")[0]
-                paths[seen["frame"]] = (seen["passed"], tuple(seen["groups"]), taken)
+                assert means is seen.pop("posterior")[0]
+                s, p = seen["predicted"]
+                same = zip(means == s, covs == p)
+                kept = [r for r, (row_s, row_p) in enumerate(same) if row_s.all() and row_p.all()]
+                paths[seen["frame"]] = (tuple(seen["groups"]), tuple(kept))
             return real_states(means, covs)
 
         real_predict, real_update, real_states = (
@@ -809,13 +816,15 @@ class TestCarriedStacks:
             seen["frame"] = k
             results.append(session.process_frame(detection_frame_from_record(record, 0.3)))
 
-        clean = (True, (True,), True)
+        clean = ((True,), ())
         assert paths[2] == paths[15] == clean
-        assert paths[4] == (False, (True,), False)  # the ghost's track is not measured
-        assert paths[10] == (True, (True,), False)  # person 1's posterior is NaN
-        assert paths[20] == (True, (False, False), True)  # two groups, each gathered
-        assert paths[25] == (True, (False,), False)  # row 1 failed
+        assert paths[4] == ((False,), (3,))  # the ghost's track is not measured
+        assert paths[10] == ((True,), (1,))  # person 1's posterior is NaN
+        assert paths[20] == ((False, False), ())  # two groups, each gathered
+        assert paths[25] == ((False,), (1,))  # row 1 failed
         assert sum(path == clean for path in paths.values()) > len(paths) // 2
+        assert [t.misses for t in results[4].tracks][-1] == 1
+        assert [t.misses for t in results[10].tracks][1] == 1
         assert [t.misses for t in results[25].tracks] == [0, 1, 0]
         assert [t.misses for t in results[20].tracks] == [0, 0, 0]
 

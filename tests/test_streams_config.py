@@ -53,6 +53,8 @@ CAMERA_DICT = {
     "robot_offset_m": [0.2, 0.0, 0.3],
 }
 
+PRIOR_DICT = {"h_neck": 1.4, "h_hip": 0.95, "h_knee": 0.5, "body_width": 0.5}
+
 
 class TestCameraConfig:
     def test_load(self, tmp_path):
@@ -79,6 +81,40 @@ class TestCameraConfig:
         again = CameraSetup.from_dict(setup.to_dict())
         assert again.camera == setup.camera
         assert again.ground.gamma == setup.ground.gamma
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key, cause",
+        [
+            ("fx", "fx must be finite and positive"),
+            ("fy", "fy must be finite and positive"),
+            ("camera_height_m", "camera height must be finite and positive"),
+            ("tilt_rad", "tilt {value} is not within \\[-pi/2, pi/2\\]"),
+            ("robot_offset_m", "robot offset must be finite"),
+        ],
+    )
+    def test_camera_file_with_non_finite_value_is_a_config_error(self, tmp_path, key, cause, value):
+        # Python's json reads NaN and Infinity; the file is rejected, not run.
+        data = dict(CAMERA_DICT)
+        data[key] = [0.2, value, 0.3] if key == "robot_offset_m" else value
+        path = tmp_path / "camera.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {cause.format(value=value)}$"):
+            load_camera_config(path)
+
+    def test_cli_reports_nan_offset_on_one_line(self, tmp_path, capsys):
+        camera, dets = tmp_path / "camera.json", tmp_path / "d.jsonl"
+        camera.write_text(json.dumps({**CAMERA_DICT, "robot_offset_m": [NAN, 0.0, 0.0]}))
+        dets.write_text('{"t":0.0,"detections":[]}\n')
+        argv = ["track", "--camera", str(camera), "--input", str(dets),
+                "--output", str(tmp_path / "log.jsonl")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"jointtrack track: error: {camera}: robot offset must be finite"
+        ]
+        assert not (tmp_path / "log.jsonl").exists()
 
 
 class TestRunConfig:
@@ -166,9 +202,15 @@ class TestRunConfig:
                                                "knee": 8.0, "ankle": 10.0}}},
                 "pixel sigma for neck must be finite",
             ),
+            ({"prior": {**PRIOR_DICT, "h_neck": float("nan")}}, "h_neck must be finite"),
+            ({"prior": {**PRIOR_DICT, "h_neck": float("inf")}}, "h_neck must be finite"),
+            ({"prior": {**PRIOR_DICT, "h_knee": float("nan")}}, "h_knee must be finite"),
+            ({"prior": {**PRIOR_DICT, "body_width": float("nan")}}, "body_width must be finite"),
+            ({"prior": {**PRIOR_DICT, "body_width": float("inf")}}, "body_width must be finite"),
         ],
         ids=["gate-nan", "gate-inf", "position-sigma-nan", "velocity-sigma-zero", "beta-nan",
-             "kappa-nan", "accel-sigma-nan", "pixel-sigma-nan"],
+             "kappa-nan", "accel-sigma-nan", "pixel-sigma-nan", "h-neck-nan", "h-neck-inf",
+             "h-knee-nan", "body-width-nan", "body-width-inf"],
     )
     def test_run_config_file_with_non_finite_value_is_a_config_error(self, tmp_path, data, cause):
         # Python's json reads NaN and Infinity; the file is rejected, not run.

@@ -419,3 +419,54 @@ def test_a_failed_or_behind_row_takes_the_gathered_path():
         assert errors == [None] * 3 and counts == {"whole": 3, "gathered": 1}
         assert s.flags.c_contiguous and p.flags.c_contiguous
         assert s.tobytes() == out_s.tobytes() and p.tobytes() == out_p.tobytes()
+
+
+# -- rows without a measurement: passed through as given ---------------------------
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(track_cases(), min_size=1, max_size=8), st.randoms(use_true_random=False))
+def test_none_rows_pass_through_and_the_rest_update_as_scattered(cases, rng):
+    # Rows of mixed visible-joint sets, a random share of them without a
+    # measurement (None), plus one measured row and one None row whose
+    # covariance has no square root.
+    entries = [("any", case, case[2]) for case in cases]
+    broken = (cases[0][0], -np.eye(4), *cases[0][2:])
+    entries += [("failed", broken, cases[0][2]), ("idle", broken, cases[0][2])]
+    rng.shuffle(entries)
+    means, covs, measurements, priors = _batch(entries)
+    idle = [label == "idle" or (label == "any" and rng.random() < 0.4) for label, _, _ in entries]
+    rows = [i for i, none in enumerate(idle) if not none]
+    inputs = means.tobytes(), covs.tobytes()
+
+    out_s, out_p, errors = update_batch(
+        means, covs, [None if none else m for none, m in zip(idle, measurements)],
+        CAM, GROUND, priors, PARAMS,
+    )
+    sub_s, sub_p, sub_errors = update_batch(
+        means[rows], covs[rows], [measurements[i] for i in rows],
+        CAM, GROUND, [priors[i] for i in rows], PARAMS,
+    )
+    scattered_s, scattered_p = means.copy(), covs.copy()
+    scattered_s[rows], scattered_p[rows] = sub_s, sub_p
+    assert out_s.tobytes() == scattered_s.tobytes() and out_p.tobytes() == scattered_p.tobytes()
+    assert [errors[i] for i, none in enumerate(idle) if none] == [None] * (len(idle) - len(rows))
+    assert [type(errors[i]) for i in rows] == [type(e) for e in sub_errors]
+    failed = [label for label, _, _ in entries].index("failed")
+    assert isinstance(errors[failed], SigmaPointFailureError)
+    # The inputs are untouched; the outputs are new arrays.
+    assert (means.tobytes(), covs.tobytes()) == inputs
+    for out in (out_s, out_p):
+        assert not np.shares_memory(out, means) and not np.shares_memory(out, covs)
+
+
+def test_all_none_rows_are_returned_as_given():
+    means = np.array([[0.3, 4.0, 0.1, 0.0], [0.5, 5.0, 0.0, 0.1]])
+    covs = np.array([np.diag([0.2, 0.2, 0.4, 0.4]), -np.eye(4)])
+    with counted_group_paths() as counts:
+        out_s, out_p, errors = update_batch(
+            means, covs, [None, None], CAM, GROUND, [PriorModel()] * 2, PARAMS
+        )
+    assert errors == [None, None] and counts == {"whole": 0, "gathered": 0}
+    assert out_s.tobytes() == means.tobytes() and out_p.tobytes() == covs.tobytes()
+    assert not np.shares_memory(out_s, means) and not np.shares_memory(out_p, covs)
