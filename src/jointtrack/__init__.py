@@ -9,6 +9,7 @@ plane, staying locked on even when only part of the body is visible:
 - :mod:`jointtrack.ukf` - unscented Kalman filter over the ground state
 - :mod:`jointtrack.association` - box-space track/detection matching
 - :mod:`jointtrack.pipeline` - per-frame orchestration and track lifecycle
+- :mod:`jointtrack.streams` - JSONL stream formats and keypoint merging
 - :mod:`jointtrack.simulator` - synthetic scenes for verification
 - :mod:`jointtrack.metrics` - localization / tracking evaluation
 - :mod:`jointtrack.cli` - track / simulate / eval / bench commands
@@ -39,10 +40,10 @@ from .pipeline import (
     TrackingSession,
     TrackRecord,
     TrackStatus,
-    merge_joint_pairs,
 )
 from .prior import FullBodyObservation, PriorModel, construct_prior, init_from_best_joint
 from .simulator import PersonSpec, Scenario, generate, localization_errors
+from .streams import merge_joint_pairs
 from .ukf import TrackState, UkfParams, observe, predict, update
 
 __version__ = "0.1.0"

@@ -77,8 +77,9 @@ class NonMonotonicTimestampError(JointTrackError):
 
 
 class InvalidFrameError(JointTrackError):
-    """A Frame holds a value no session can take, such as a
-    reid_target_hint that is not an integer detection index."""
+    """A Frame the session cannot take: a reid_target_hint that is not an
+    integer detection index, or a timestamp so far past the last frame's
+    that the live tracks' prediction over the gap overflows."""
 
 
 class MalformedRecordError(JointTrackError):

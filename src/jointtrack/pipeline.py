@@ -1,9 +1,11 @@
-"""Per-frame tracking pipeline: ingest, predict, associate, update.
+"""Per-frame tracking pipeline: predict, associate, update, lifecycle.
 
 A TrackingSession owns the track table and processes frames strictly in
 timestamp order; a timestamp that is not finite, or does not advance,
-raises NonMonotonicTimestampError and leaves the session as it was. Every
-frame, the first one included, runs the same stages:
+raises NonMonotonicTimestampError, and one so far past the last that the
+live tracks' prediction over the gap overflows raises InvalidFrameError
+(the prediction runs before anything changes); either leaves the session
+as it was. Every frame, the first one included, runs the same stages:
 
 1. acquisition picks the detection that (re)acquires the target, kept out
    of matching: without a target, the hinted detection or else the first
@@ -11,8 +13,8 @@ frame, the first one included, runs the same stages:
 2. predicts every live track forward by the frame interval,
 3. computes expected boxes and matches tracks to detections globally,
 4. updates matched tracks with their detection's visible joints,
-5. ages unmatched tracks (tentative ones die quickly, confirmed ones go
-   Lost after a miss budget),
+5. counts a miss for every live track that no match updated (tentative
+   ones die quickly, confirmed ones go Lost after a miss budget),
 6. places the target at the acquired detection (a new target is reported
    as spawned, a re-initialized one as matched),
 7. spawns tentative tracks from unmatched detections once a target exists,
@@ -38,21 +40,12 @@ track without a usable matched measurement (its rows come back as given).
 Its stacks become the new states, save that a row whose posterior is not
 finite takes its prediction back; update_batch alone gathers and writes
 back rows. One ukf.track_states call turns the stacks into every live
-track's new TrackState. A detection without joints is never located, so
-it spawns nothing.
-
-Ingest merges a detection's keypoints into the four joints in one pass
-that reads a keypoint's confidence first, its pixel only when it is kept,
-and puts it in its name's slot of a fixed table. A detection's merged
-joints are one read-only mapping in measurement order: their kinds, their
-confidences, each checked once by JointDetection's rule, and their pixels
-as a (k, 2) float64 block, a read-only row slice of one array per frame
-(per call of merge_keypoints or merge_joint_pairs). A JointDetection is
-built only when a caller reads joints[kind], its pixel a read-only view of
-its row. Ingested boxes and detections are built without re-running
-__post_init__. A Detection built in code copies the given pixels into a
-block of its own, so the frame path reads every detection the same way.
-Joints and detections compare by value.
+track's new TrackState. A track is updated, and counts a hit, exactly when
+it matched a detection with a usable measurement, update_batch reported no
+error for it and its posterior is finite; every other live track counts a
+miss: unmatched, too close for a box, or matched without a usable
+measurement. A detection without joints is never located, so it spawns
+nothing. Every detection neither matched nor spawned is unmatched.
 
 Sessions are single-writer state machines: process_frame calls must be
 serialized per session, while distinct sessions are independent. Returned
@@ -63,7 +56,7 @@ of a read-only stack, which cannot be made writeable.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -186,10 +179,6 @@ class _Joints(Mapping[JointKind, JointDetection]):
         return repr(dict(self.items()))
 
 
-_NO_JOINTS = _Joints((), np.empty((0, 2)), ())
-_NO_JOINTS.pixels.flags.writeable = False
-
-
 @dataclass(frozen=True)
 class Detection:
     """Bounding box plus merged joints; joints may be empty (box only).
@@ -260,126 +249,6 @@ class FrameResult:
     matches: Tuple[Tuple[int, int], ...]
     spawned: Tuple[Tuple[int, int], ...]
     unmatched_detections: Tuple[int, ...]
-
-
-# The merge's slots: joint k's pre-merged name, which takes precedence, in
-# slot 3k, then the two 17-keypoint skeleton names that feed it.
-_SLOTS = {name: slot for slot, name in enumerate((
-    "neck", "left_shoulder", "right_shoulder", "hip", "left_hip", "right_hip",
-    "knee", "left_knee", "right_knee", "ankle", "left_ankle", "right_ankle",
-))}
-_KIND_SLOTS = tuple((kind, 3 * kind) for kind in JOINT_ORDER)
-# Stands in for v when merge_joint_pairs passes a (pixel, conf) pair on.
-_WHOLE_PIXEL = object()
-
-
-def merge_joint_pairs(
-    raw_joints: Mapping[str, Tuple[Sequence[float], float]],
-    box: BoundingBox,
-    min_confidence: float,
-) -> Mapping[JointKind, JointDetection]:
-    """Collapse raw keypoints into the four tracked joints.
-
-    Left/right hip, knee and ankle pairs become one point each: the
-    horizontal coordinate is the box center, the vertical one the mean of
-    the pair (or the single visible joint's). The neck is taken directly
-    when present, otherwise from the shoulder midpoint. Keypoints below
-    min_confidence (or NaN) are dropped unchecked; pre-merged streams pass
-    through unchanged. A kept pixel must read as two numbers (null reads as
-    NaN) and a merged confidence (a kept 1.5, not a dropped -0.5) must lie
-    in [0, 1]; otherwise ValueError or TypeError.
-
-    raw_joints maps each name to (pixel, conf); merge_keypoints reads the
-    stream's [u, v, conf] instead, and both merge the same way. The result
-    is a read-only mapping in measurement order (JOINT_ORDER) whose pixels
-    are rows of one read-only block; it equals {} when nothing is kept.
-    """
-    keypoints = ((name, (pixel, _WHOLE_PIXEL, conf)) for name, (pixel, conf) in raw_joints.items())
-    return _merged_alone(keypoints, box, min_confidence)
-
-
-def merge_keypoints(
-    keypoints: Mapping[str, Sequence], box: BoundingBox, min_confidence: float
-) -> Mapping[JointKind, JointDetection]:
-    """merge_joint_pairs on the detection stream's {name: [u, v, conf]}.
-
-    Each keypoint is read once: its three values, then its confidence, and
-    only a kept keypoint's pixel is read as two numbers, so a suppressed
-    keypoint's pixel may be anything. This is ingest's merge, for one
-    detection with a pixel block of its own.
-    """
-    return _merged_alone(keypoints.items(), box, min_confidence)
-
-
-def _merged_alone(keypoints, box: BoundingBox, min_confidence: float) -> "_Joints":
-    pixels: List[float] = []
-    joints = _merge(keypoints, box, min_confidence, pixels)
-    if pixels:
-        _share_block([joints], pixels)
-    return joints
-
-
-def _merge(keypoints, box: BoundingBox, min_confidence: float, pixels: List[float]) -> "_Joints":
-    """The merge of (name, [u, v, conf]) pairs: the merged joints, their
-    pixels appended to pixels as u, v, ... and not yet set (_share_block
-    sets them), or _NO_JOINTS when no slot is filled."""
-    slots = None
-    for name, vals in keypoints:
-        u, v, conf = vals[0], vals[1], vals[2]
-        conf = float(conf)
-        if conf >= min_confidence:
-            if type(u) is not float or type(v) is not float:
-                pixel = u if v is _WHOLE_PIXEL else (u, v)
-                u, v = np.asarray(pixel, dtype=float).reshape(2).tolist()
-            slot = _SLOTS.get(name)
-            if slot is not None:
-                if slots is None:
-                    slots = [None] * len(_SLOTS)
-                slots[slot] = (u, v, conf)
-    if slots is None:
-        return _NO_JOINTS
-
-    kinds, confidences = [], []
-    for kind, slot in _KIND_SLOTS:
-        joint = slots[slot]
-        if joint is None:
-            left, right = slots[slot + 1], slots[slot + 2]
-            if left is None and right is None:
-                continue
-            if slot == 0:  # the neck: the shoulders' midpoint, or the one shoulder
-                if left is not None and right is not None:
-                    joint = tuple(0.5 * (a + b) for a, b in zip(left, right))
-                else:
-                    joint = left or right
-            # Means as np.mean computes them: the sum starts from 0.0 (so a
-            # -0.0 alone gives 0.0), then is divided by the count.
-            elif left is not None and right is not None:
-                joint = (box.u, (0.0 + left[1] + right[1]) / 2, (0.0 + left[2] + right[2]) / 2)
-            else:
-                _, v, conf = left or right
-                joint = (box.u, 0.0 + v, 0.0 + conf)
-        u, v, conf = joint
-        if not 0.0 <= conf <= 1.0:
-            raise ValueError("confidence must be in [0, 1]")
-        kinds.append(kind)
-        pixels += u, v
-        confidences.append(conf)
-    return _Joints(tuple(kinds), None, tuple(confidences))
-
-
-def _share_block(joints: Sequence["_Joints"], pixels: List[float]) -> None:
-    """Set the pixels of each of joints, in order, to its rows of one
-    read-only (n, 2) float64 block made from pixels by one np.array call."""
-    block = np.array(pixels, dtype=float)
-    # Not geometry.read_only: ingest makes no call into another module per
-    # frame, which perfbench's tracer would count as a geometry call.
-    block.flags.writeable = False
-    block = block.reshape(-1, 2)
-    start = 0
-    for merged in joints:
-        stop = start + len(merged.kinds)
-        merged.pixels = block[start:stop]
-        start = stop
 
 
 # Spawned tracks are placed with average adult proportions.
@@ -532,10 +401,6 @@ class TrackingSession:
             if isinstance(hint, bool) or not isinstance(hint, (int, np.integer)):
                 raise InvalidFrameError(f"reid_target_hint must be a detection index, got {hint!r}")
             hint = int(hint)
-        last_t, self._last_t = self._last_t, frame.timestamp
-        detections = list(frame.detections)
-        target = self.target
-        acquired, target_ankle = self._acquire(hint, detections, target)
 
         # A track is named by its row in active, in the filter arrays and in match_gnn.
         active = [t for t in self._tracks if t.status is not TrackStatus.LOST]
@@ -549,12 +414,16 @@ class TrackingSession:
             else:
                 prior_s = np.array([state.s for state in states])
                 prior_p = np.array([state.P for state in states])
-            # Tracks exist only after a first frame, so last_t is set.
-            means, covs = predict_batch(prior_s, prior_p, frame.timestamp - last_t, self.config.ukf)
+            # Tracks exist only after a first frame, so _last_t is set.
+            means, covs = self._predict(prior_s, prior_p, frame.timestamp - self._last_t)
             too_close, boxes = expected_boxes(
                 means, [t.prior.body_width for t in active], self.camera, self.ground
             )
             close, boxes = too_close.tolist(), boxes.tolist()
+        self._last_t = frame.timestamp
+        detections = list(frame.detections)
+        target = self.target
+        acquired, target_ankle = self._acquire(hint, detections, target)
 
         assoc = match_gnn(
             list(zip([row for row, c in enumerate(close) if not c], boxes)),
@@ -565,15 +434,17 @@ class TrackingSession:
 
         matches: List[Tuple[int, int]] = []
         matched_target_box: Optional[BoundingBox] = None
-        missed = set(assoc.unmatched_tracks) | {row for row, c in enumerate(close) if c}
+        measurements: List[Optional[Tuple[np.ndarray, List[JointKind]]]] = [None] * len(active)
+        for row, j, _dist in assoc.matches:
+            track = active[row]
+            matches.append((track.id, j))
+            if track.is_target:
+                matched_target_box = detections[j].box
+            measurements[row] = self._measurement(detections[j])
 
         # One batched update of every live track, in row order, with None for
         # a track without a usable matched measurement. A track whose update
         # fails, or whose posterior is not finite, keeps its prediction.
-        measurements: List[Optional[Tuple[np.ndarray, List[JointKind]]]] = [None] * len(active)
-        for row, j, _dist in assoc.matches:
-            measurements[row] = self._measurement(detections[j])
-        updated: Set[int] = set()
         if active:
             priors = [t.prior for t in active]
             post_s, post_p, errors = update_batch(
@@ -582,51 +453,33 @@ class TrackingSession:
             finite = np.isfinite(post_s).all(axis=1) & np.isfinite(post_p).all(axis=(1, 2))
             if not finite.all():
                 post_s[~finite], post_p[~finite] = means[~finite], covs[~finite]
-            for row, (z, error, ok) in enumerate(zip(measurements, errors, finite.tolist())):
-                if z is not None and error is None and ok:
-                    updated.add(row)
             states = track_states(post_s, post_p)
-            for track, state in zip(active, states):
-                track.state = state
             self._carried = states
-
-        for row, j, _dist in assoc.matches:
-            track = active[row]
-            matches.append((track.id, j))
-            if track.is_target:
-                matched_target_box = detections[j].box
-            if row in updated:
-                track.misses = 0
-                track.consecutive_hits += 1
-                if (
-                    track.status is TrackStatus.TENTATIVE
-                    and track.consecutive_hits >= self.config.confirm_hits
-                ):
-                    track.status = TrackStatus.CONFIRMED
-            else:
-                # A match without a usable measurement cannot refresh the
-                # track; treat it as a miss so stale tracks still expire.
-                missed.add(row)
-
-        dead: List[_Track] = []
-        for row in missed:
-            track = active[row]
-            track.misses += 1
-            track.consecutive_hits = 0
-            if track.status is TrackStatus.TENTATIVE:
-                if track.misses >= self.config.tentative_max_misses:
+            # A track is a hit exactly when its matched measurement updated
+            # it; every other live track counts a miss.
+            rows = zip(active, states, measurements, errors, finite.tolist())
+            for track, state, z, error, ok in rows:
+                track.state = state
+                if z is not None and error is None and ok:
+                    track.misses = 0
+                    track.consecutive_hits += 1
+                    if (
+                        track.status is TrackStatus.TENTATIVE
+                        and track.consecutive_hits >= self.config.confirm_hits
+                    ):
+                        track.status = TrackStatus.CONFIRMED
+                    continue
+                track.misses += 1
+                track.consecutive_hits = 0
+                if track.status is TrackStatus.TENTATIVE:
+                    if track.misses >= self.config.tentative_max_misses:
+                        track.status = TrackStatus.LOST
+                elif track.misses > self.config.max_misses:
                     track.status = TrackStatus.LOST
-                    dead.append(track)
-            elif track.status is TrackStatus.CONFIRMED:
-                if track.misses > self.config.max_misses:
-                    track.status = TrackStatus.LOST
-                    if not track.is_target:
-                        dead.append(track)
 
         # The target takes the acquired detection: a new target is reported
         # as spawned, a Lost one that re-initializes as matched.
         spawned: List[Tuple[int, int]] = []
-        unmatched: List[int] = []
         if target_ankle is not None:
             if target is None:
                 target = self._new_track(target_ankle, is_target=True, prior=self._target_prior)
@@ -638,22 +491,18 @@ class TrackingSession:
                 target.consecutive_hits = 1
                 matches.append((target.id, acquired))
             matched_target_box = detections[acquired].box
-        elif acquired is not None:
-            unmatched.append(acquired)
 
-        # Spawning waits for a target, so that it gets the lowest id.
-        for j in assoc.unmatched_detections:
-            detection = detections[j]
-            # A detection without joints places no one, so it is not located.
-            if target is None or not detection.joints:
-                ankle = None
-            else:
-                ankle = self._locate(detection, _DEFAULT_PRIOR)
-            if ankle is None:
-                unmatched.append(j)
-            else:
-                track = self._new_track(ankle, is_target=False, prior=_DEFAULT_PRIOR)
-                spawned.append((track.id, j))
+        # Spawning waits for a target, so that it gets the lowest id. A
+        # detection without joints places no one, so it is not located.
+        if target is not None:
+            for j in assoc.unmatched_detections:
+                if detections[j].joints:
+                    ankle = self._locate(detections[j], _DEFAULT_PRIOR)
+                    if ankle is not None:
+                        track = self._new_track(ankle, is_target=False, prior=_DEFAULT_PRIOR)
+                        spawned.append((track.id, j))
+        # Every detection neither matched nor spawned is unmatched.
+        taken = {j for _, j in matches + spawned}
 
         tracking = target is not None and target.status is not TrackStatus.LOST
         status = SessionStatus.TRACKING if tracking else SessionStatus.LOST
@@ -667,11 +516,24 @@ class TrackingSession:
             tracks=tuple(t.snapshot() for t in self._tracks),
             matches=tuple(matches),
             spawned=tuple(spawned),
-            unmatched_detections=tuple(sorted(unmatched)),
+            unmatched_detections=tuple([j for j in range(len(detections)) if j not in taken]),
         )
-        for track in dead:
-            self._tracks.remove(track)
+        # Only the target outlives going Lost; the snapshots above still show the rest.
+        self._tracks = [t for t in self._tracks if t.is_target or t.status is not TrackStatus.LOST]
         return result
+
+    def _predict(
+        self, prior_s: np.ndarray, prior_p: np.ndarray, gap: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """predict_batch of the live tracks' stacks over the frame gap. A gap
+        so long that the prediction overflows raises InvalidFrameError naming
+        it: numpy's overflow is raised here as FloatingPointError, and
+        process_noise's gap**4 on a Python float raises OverflowError."""
+        try:
+            with np.errstate(over="raise"):
+                return predict_batch(prior_s, prior_p, gap, self.config.ukf)
+        except (FloatingPointError, OverflowError) as exc:
+            raise InvalidFrameError(f"frame gap of {gap} s is too long to predict over") from exc
 
     def _acquire(
         self, hint: Optional[int], detections: List[Detection], target: Optional[_Track]

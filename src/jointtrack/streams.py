@@ -11,8 +11,9 @@ Detection stream, one record per frame (field names are the wire contract):
 
 Joint names may be the pre-merged four (neck/hip/knee/ankle) or raw
 17-keypoint skeleton names (left_shoulder, right_hip, ...); ingestion
-merges pairs either way, in pipeline's one pass per detection (the merge
-of merge_keypoints). It reads each keypoint once, its confidence first: a
+merges pairs either way, in one pass per detection (the merge of
+merge_keypoints) that puts each kept keypoint in its name's slot of a
+fixed table. It reads each keypoint once, its confidence first: a
 keypoint below min_confidence is dropped without its pixel being read,
 which is most of them in a crowd, where a pose detector prints every
 keypoint of every person. A frame's merged pixels are one read-only array,
@@ -42,12 +43,137 @@ Ground-truth stream (simulator output):
 
 import json
 import math
-from typing import Any, Dict, Iterable, List, Mapping
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from .association import BoundingBox
 from .errors import MalformedRecordError
 from .files import collection_paused, open_bytes, write_text
-from .pipeline import _NO_JOINTS, Detection, Frame, FrameResult, _merge, _share_block
+from .geometry import JOINT_ORDER, JointKind
+from .pipeline import Detection, Frame, FrameResult, JointDetection, _Joints
+
+_NO_JOINTS = _Joints((), np.empty((0, 2)), ())
+_NO_JOINTS.pixels.flags.writeable = False
+
+# The merge's slots: joint k's pre-merged name, which takes precedence, in
+# slot 3k, then the two 17-keypoint skeleton names that feed it.
+_SLOTS = {name: slot for slot, name in enumerate((
+    "neck", "left_shoulder", "right_shoulder", "hip", "left_hip", "right_hip",
+    "knee", "left_knee", "right_knee", "ankle", "left_ankle", "right_ankle",
+))}
+_KIND_SLOTS = tuple((kind, 3 * kind) for kind in JOINT_ORDER)
+# Stands in for v when merge_joint_pairs passes a (pixel, conf) pair on.
+_WHOLE_PIXEL = object()
+
+
+def merge_joint_pairs(
+    raw_joints: Mapping[str, Tuple[Sequence[float], float]],
+    box: BoundingBox,
+    min_confidence: float,
+) -> Mapping[JointKind, JointDetection]:
+    """Collapse raw keypoints into the four tracked joints.
+
+    Left/right hip, knee and ankle pairs become one point each: the
+    horizontal coordinate is the box center, the vertical one the mean of
+    the pair (or the single visible joint's). The neck is taken directly
+    when present, otherwise from the shoulder midpoint. Keypoints below
+    min_confidence (or NaN) are dropped unchecked; pre-merged streams pass
+    through unchanged. A kept pixel must read as two numbers (null reads as
+    NaN) and a merged confidence (a kept 1.5, not a dropped -0.5) must lie
+    in [0, 1]; otherwise ValueError or TypeError.
+
+    raw_joints maps each name to (pixel, conf); merge_keypoints reads the
+    stream's [u, v, conf] instead, and both merge the same way. The result
+    is a read-only mapping in measurement order (JOINT_ORDER) whose pixels
+    are rows of one read-only block; it equals {} when nothing is kept.
+    """
+    keypoints = ((name, (pixel, _WHOLE_PIXEL, conf)) for name, (pixel, conf) in raw_joints.items())
+    return _merged_alone(keypoints, box, min_confidence)
+
+
+def merge_keypoints(
+    keypoints: Mapping[str, Sequence], box: BoundingBox, min_confidence: float
+) -> Mapping[JointKind, JointDetection]:
+    """merge_joint_pairs on the detection stream's {name: [u, v, conf]}.
+
+    Each keypoint is read once: its three values, then its confidence, and
+    only a kept keypoint's pixel is read as two numbers, so a suppressed
+    keypoint's pixel may be anything. This is ingest's merge, for one
+    detection with a pixel block of its own.
+    """
+    return _merged_alone(keypoints.items(), box, min_confidence)
+
+
+def _merged_alone(keypoints, box: BoundingBox, min_confidence: float) -> _Joints:
+    pixels: List[float] = []
+    joints = _merge(keypoints, box, min_confidence, pixels)
+    if pixels:
+        _share_block([joints], pixels)
+    return joints
+
+
+def _merge(keypoints, box: BoundingBox, min_confidence: float, pixels: List[float]) -> _Joints:
+    """The merge of (name, [u, v, conf]) pairs: the merged joints, their
+    pixels appended to pixels as u, v, ... and not yet set (_share_block
+    sets them), or _NO_JOINTS when no slot is filled."""
+    slots = None
+    for name, vals in keypoints:
+        u, v, conf = vals[0], vals[1], vals[2]
+        conf = float(conf)
+        if conf >= min_confidence:
+            if type(u) is not float or type(v) is not float:
+                pixel = u if v is _WHOLE_PIXEL else (u, v)
+                u, v = np.asarray(pixel, dtype=float).reshape(2).tolist()
+            slot = _SLOTS.get(name)
+            if slot is not None:
+                if slots is None:
+                    slots = [None] * len(_SLOTS)
+                slots[slot] = (u, v, conf)
+    if slots is None:
+        return _NO_JOINTS
+
+    kinds, confidences = [], []
+    for kind, slot in _KIND_SLOTS:
+        joint = slots[slot]
+        if joint is None:
+            left, right = slots[slot + 1], slots[slot + 2]
+            if left is None and right is None:
+                continue
+            if slot == 0:  # the neck: the shoulders' midpoint, or the one shoulder
+                if left is not None and right is not None:
+                    joint = tuple(0.5 * (a + b) for a, b in zip(left, right))
+                else:
+                    joint = left or right
+            # Means as np.mean computes them: the sum starts from 0.0 (so a
+            # -0.0 alone gives 0.0), then is divided by the count.
+            elif left is not None and right is not None:
+                joint = (box.u, (0.0 + left[1] + right[1]) / 2, (0.0 + left[2] + right[2]) / 2)
+            else:
+                _, v, conf = left or right
+                joint = (box.u, 0.0 + v, 0.0 + conf)
+        u, v, conf = joint
+        if not 0.0 <= conf <= 1.0:
+            raise ValueError("confidence must be in [0, 1]")
+        kinds.append(kind)
+        pixels += u, v
+        confidences.append(conf)
+    return _Joints(tuple(kinds), None, tuple(confidences))
+
+
+def _share_block(joints: Sequence[_Joints], pixels: List[float]) -> None:
+    """Set the pixels of each of joints, in order, to its rows of one
+    read-only (n, 2) float64 block made from pixels by one np.array call."""
+    block = np.array(pixels, dtype=float)
+    # Not geometry.read_only: ingest makes no call into another module per
+    # frame, which perfbench's tracer would count as a geometry call.
+    block.flags.writeable = False
+    block = block.reshape(-1, 2)
+    start = 0
+    for merged in joints:
+        stop = start + len(merged.kinds)
+        merged.pixels = block[start:stop]
+        start = stop
 
 
 def detection_frame_from_record(record: Mapping[str, Any], min_confidence: float) -> Frame:

@@ -230,6 +230,25 @@ def test_track_reports_bad_record_on_one_line(workspace, capsys, bad_record, mes
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("t", [1.1e77, 1e78])
+def test_track_reports_huge_frame_gap_on_one_line(workspace, capsys, t):
+    records, _ = generate(Scenario.from_dict(SCENARIO))
+    records[10]["t"] = t
+    dets = workspace / "gap.jsonl"
+    _write_records(dets, records)
+    assert main([
+        "track", "--camera", str(workspace / "camera.json"),
+        "--input", str(dets), "--output", str(workspace / "log.jsonl"),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("jointtrack track: error: record 11: frame gap of ")
+    assert "Traceback" not in captured.err
+    assert not (workspace / "log.jsonl").exists()
+
+
 def test_track_reports_truncated_line_on_one_line(workspace, capsys):
     dets = workspace / "cut.jsonl"
     dets.write_text('{"t":0.0,"detections":[]}\n{"t":0.1,\n')

@@ -51,9 +51,9 @@ from jointtrack.geometry import (
     joint_position,
     project_points,
 )
-from jointtrack.pipeline import Detection, JointDetection, TrackingSession, merge_keypoints
+from jointtrack.pipeline import Detection, JointDetection, TrackingSession
 from jointtrack.prior import PriorModel
-from jointtrack.streams import detection_frame_from_record
+from jointtrack.streams import detection_frame_from_record, merge_keypoints
 from jointtrack.ukf import (
     CHOLESKY_JITTER,
     COVARIANCE_SYMMETRY_TOL,

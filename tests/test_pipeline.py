@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from jointtrack.association import BoundingBox
 from jointtrack.config import CameraSetup, RunConfig
 from jointtrack.errors import (
     InvalidFrameError,
+    JointTrackError,
     NonMonotonicTimestampError,
     SigmaPointFailureError,
     UninitializedSessionError,
@@ -24,7 +26,6 @@ from jointtrack.pipeline import (
     TrackStatus,
     TrackingSession,
     _Track,
-    merge_joint_pairs,
 )
 from jointtrack.prior import PriorModel
 from jointtrack.simulator import (
@@ -34,7 +35,7 @@ from jointtrack.simulator import (
     Scenario,
     generate,
 )
-from jointtrack.streams import detection_frame_from_record, result_to_record
+from jointtrack.streams import detection_frame_from_record, merge_joint_pairs, result_to_record
 from jointtrack.ukf import TrackState
 
 SETUP = CameraSetup.from_dict(
@@ -903,6 +904,33 @@ class TestNonFiniteTimestamp:
         second = session.process_frame(detection_frame_from_record(dets[1], 0.3))
         assert first.status is second.status is SessionStatus.TRACKING
         assert second.matches == ((first.tracks[0].id, 0),)
+
+
+class TestHugeFrameGap:
+    """A gap too long for a finite prediction (dt**4 overflows a float at
+    1e78 s; the covariance overflows at 1.1e77 s) is refused before the
+    session changes, so the next frame goes as if the bad one never came."""
+
+    @pytest.mark.parametrize("gap", [1.1e77, 1e78])
+    def test_gap_is_refused_and_the_session_is_unchanged(self, gap):
+        persons = (
+            PersonSpec(trajectory=LineTrajectory(start=(5.0, 0.3), velocity=(-0.3, 0.05))),
+            PersonSpec(trajectory=LineTrajectory(start=(5.5, -1.0), velocity=(-0.2, 0.0))),
+        )
+        dets, _ = single_person_stream(persons=persons, duration=1.0)
+        frames = [detection_frame_from_record(record, 0.3) for record in dets]
+        session = TrackingSession(SETUP.camera, SETUP.ground, RunConfig(), SETUP.extrinsics)
+        before = [session.process_frame(frame) for frame in frames[:10]]
+        assert len(before[-1].tracks) == 2
+        bad = dataclasses.replace(frames[10], timestamp=frames[9].timestamp + gap)
+        with pytest.raises(InvalidFrameError, match=re.escape(f"frame gap of {gap} s")) as info:
+            session.process_frame(bad)
+        assert isinstance(info.value, JointTrackError)
+        after = [session.process_frame(frame) for frame in frames[10:]]
+        expected = run_stream(dets)
+        assert [_canonical_result(r) for r in before + after] == [
+            _canonical_result(r) for r in expected
+        ]
 
 
 class TestHintFromCode:

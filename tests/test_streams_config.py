@@ -31,12 +31,12 @@ from jointtrack.pipeline import (
     Frame,
     JointDetection,
     TrackingSession,
-    merge_joint_pairs,
-    merge_keypoints,
 )
 from jointtrack.prior import PriorModel
 from jointtrack.streams import (
     detection_frame_from_record,
+    merge_joint_pairs,
+    merge_keypoints,
     read_jsonl,
     write_jsonl,
 )
@@ -1021,3 +1021,22 @@ def test_only_a_kept_keypoint_confidence_is_checked(confidence, min_confidence):
         assert JointKind.NECK not in merge_keypoints(keypoints, BOX, min_confidence)
         (detection,) = detection_frame_from_record(record, min_confidence).detections
         assert JointKind.NECK not in detection.joints
+
+
+def test_every_exported_name_resolves_and_merge_joint_pairs_is_ingests_merge():
+    import jointtrack
+    import jointtrack.streams
+
+    missing = [name for name in jointtrack.__all__ if not hasattr(jointtrack, name)]
+    assert missing == []
+    assert jointtrack.merge_joint_pairs is jointtrack.streams.merge_joint_pairs
+    keypoints = {"left_shoulder": [380.0, 330.0, 0.9], "right_shoulder": [420.0, 336.0, 0.7],
+                 "left_hip": [390.0, 500.0, 0.8], "right_knee": [410.0, 600.0, 0.2],
+                 "ankle": [401.0, 707.0, 0.95], "nose": [400.0, 300.0, 0.99]}
+    record = {"t": 0.5, "detections": [{"box": BOX.to_list(), "joints": keypoints}]}
+    (ingested,) = detection_frame_from_record(record, 0.3).detections
+    exported = jointtrack.merge_joint_pairs(
+        {name: ((u, v), conf) for name, (u, v, conf) in keypoints.items()}, BOX, 0.3
+    )
+    assert list(exported) == [JointKind.NECK, JointKind.HIP, JointKind.ANKLE]
+    assert exported == ingested.joints
