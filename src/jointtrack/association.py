@@ -18,18 +18,71 @@ A global nearest neighbor assignment (Hungarian solve on the gated cost
 matrix) matches tracks to detections one-to-one: pairs farther apart than
 the gate are forbidden, the match count is maximized over allowed pairs
 and the total distance minimized among those matchings.
+
+The Hungarian solve is scipy's linear_sum_assignment. It is loaded once,
+when this module is imported, straight from scipy's compiled module
+scipy.optimize._lsap, so that importing jointtrack does not run
+scipy.optimize's package init (see _load_linear_sum_assignment).
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
-from typing import Collection, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import BehindCameraError
 from .geometry import CameraModel, GroundPlane, _pinhole
 from .prior import PriorModel
+
+
+def _lsap_path() -> Optional[str]:
+    """Path of scipy's compiled solver module, scipy/optimize/_lsap.<suffix>,
+    or None when scipy is not installed or holds no such file. Finding
+    scipy's directory imports nothing."""
+    spec = importlib.util.find_spec("scipy")
+    for directory in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "optimize", "_lsap" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_linear_sum_assignment() -> Callable:
+    """scipy.optimize.linear_sum_assignment, without importing scipy.optimize.
+
+    That function is defined by the compiled module scipy.optimize._lsap.
+    Importing it through scipy.optimize runs the whole package's init
+    (scipy.linalg, scipy's array API layer, numpy.f2py and more), which
+    took about three quarters of `import jointtrack`'s time and more than
+    half of its memory. So the compiled file is loaded alone, under its
+    own name, and the solver is the same function. A scipy without that
+    file gets the public import.
+    """
+    path = _lsap_path()
+    if path is None:
+        from scipy.optimize import linear_sum_assignment
+
+        return linear_sum_assignment
+    name = "scipy.optimize._lsap"
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    # The file's init enters it in sys.modules. Take it out, so that a later
+    # import of scipy.optimize imports it as usual and sets the package's
+    # _lsap attribute; it gets the same function.
+    if sys.modules.get(name) is module:
+        del sys.modules[name]
+    return module.linear_sum_assignment
+
+
+# Loaded here, not at the first match, so the first frame pays nothing.
+linear_sum_assignment = _load_linear_sum_assignment()
 
 MIN_ASSOCIATION_DEPTH = 0.1
 
@@ -177,7 +230,7 @@ def match_gnn(
     minimizes the total distance (Hungarian solve with forbidden pairs at
     a prohibitive constant).
     """
-    if gate <= 0:
+    if not gate > 0:
         raise ValueError("gate must be positive")
     blocked = set(forbidden_detections or ())
     track_ids = [tid for tid, _ in tracks]

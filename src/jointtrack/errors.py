@@ -58,6 +58,11 @@ class NonPositiveDtError(JointTrackError):
     """Prediction interval must be strictly positive."""
 
 
+class PredictionOverflowError(JointTrackError):
+    """Prediction interval so long that the predicted state or covariance
+    overflows a float."""
+
+
 class SigmaPointFailureError(JointTrackError):
     """Covariance square root failed even after jitter."""
 

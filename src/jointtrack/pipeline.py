@@ -68,6 +68,7 @@ from .errors import (
     NonMonotonicTimestampError,
     NonPositiveDepthError,
     NoUsableJointError,
+    PredictionOverflowError,
     UninitializedSessionError,
 )
 from .geometry import (
@@ -415,7 +416,13 @@ class TrackingSession:
                 prior_s = np.array([state.s for state in states])
                 prior_p = np.array([state.P for state in states])
             # Tracks exist only after a first frame, so _last_t is set.
-            means, covs = self._predict(prior_s, prior_p, frame.timestamp - self._last_t)
+            gap = frame.timestamp - self._last_t
+            try:
+                means, covs = predict_batch(prior_s, prior_p, gap, self.config.ukf)
+            except PredictionOverflowError as exc:
+                raise InvalidFrameError(
+                    f"frame gap of {gap} s is too long to predict over"
+                ) from exc
             too_close, boxes = expected_boxes(
                 means, [t.prior.body_width for t in active], self.camera, self.ground
             )
@@ -521,19 +528,6 @@ class TrackingSession:
         # Only the target outlives going Lost; the snapshots above still show the rest.
         self._tracks = [t for t in self._tracks if t.is_target or t.status is not TrackStatus.LOST]
         return result
-
-    def _predict(
-        self, prior_s: np.ndarray, prior_p: np.ndarray, gap: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """predict_batch of the live tracks' stacks over the frame gap. A gap
-        so long that the prediction overflows raises InvalidFrameError naming
-        it: numpy's overflow is raised here as FloatingPointError, and
-        process_noise's gap**4 on a Python float raises OverflowError."""
-        try:
-            with np.errstate(over="raise"):
-                return predict_batch(prior_s, prior_p, gap, self.config.ukf)
-        except (FloatingPointError, OverflowError) as exc:
-            raise InvalidFrameError(f"frame gap of {gap} s is too long to predict over") from exc
 
     def _acquire(
         self, hint: Optional[int], detections: List[Detection], target: Optional[_Track]

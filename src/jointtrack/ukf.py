@@ -53,6 +53,7 @@ from .errors import (
     JointTrackError,
     NonPositiveDtError,
     ObservationDimensionError,
+    PredictionOverflowError,
     SigmaPointFailureError,
 )
 from .geometry import (
@@ -225,13 +226,27 @@ def predict_batch(
     means is (T, 4) and covs (T, 4, 4); each row propagates as
     s <- F s and P <- F P F^T + Q(dt), and the result does not depend on
     the other rows.
+
+    Raises:
+        NonPositiveDtError: dt <= 0.
+        PredictionOverflowError: dt is infinite, or so long that the
+            prediction overflows: numpy's overflow is raised as
+            FloatingPointError, and process_noise's dt**4 on a Python
+            float raises OverflowError.
     """
     if dt <= 0:
         raise NonPositiveDtError(f"dt must be positive, got {dt}")
-    f = transition_matrix(dt)
-    s = (f @ np.asarray(means, dtype=float)[..., None])[..., 0]
-    p = f @ np.asarray(covs, dtype=float) @ f.T + process_noise(dt, params.process_accel_sigma)
-    return s, 0.5 * (p + p.swapaxes(-1, -2))
+    if dt == math.inf:  # overflows nowhere, but F's inf * 0 gives NaN
+        raise PredictionOverflowError("prediction over an infinite dt overflows")
+    try:
+        with np.errstate(over="raise"):
+            f = transition_matrix(dt)
+            s = (f @ np.asarray(means, dtype=float)[..., None])[..., 0]
+            q = process_noise(dt, params.process_accel_sigma)
+            p = f @ np.asarray(covs, dtype=float) @ f.T + q
+            return s, 0.5 * (p + p.swapaxes(-1, -2))
+    except (FloatingPointError, OverflowError) as exc:
+        raise PredictionOverflowError(f"prediction over dt = {dt} s overflows") from exc
 
 
 def predict(state: TrackState, dt: float, params: UkfParams) -> TrackState:

@@ -5,11 +5,18 @@ The GNN oracle enumerates every gated one-to-one matching by brute force
 with the Hungarian implementation on cost and match count.
 """
 
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import jointtrack.association as association
 from jointtrack.association import (
     FORBIDDEN_COST,
     MIN_ASSOCIATION_DEPTH,
@@ -309,6 +316,13 @@ class TestMatchGnn:
     def test_invalid_gate(self):
         with pytest.raises(ValueError):
             match_gnn([], [], gate=0.0)
+        # A NaN gate passed a `gate <= 0` check and then matched nothing.
+        track, det = (0, (320.0, 50.0)), BoundingBox(u=320, v=200, w=50, h=100)
+        for gate in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                match_gnn([], [], gate=gate)
+            with pytest.raises(ValueError):
+                match_gnn([track], [det], gate=gate)
 
 
 class TestBoundingBox:
@@ -327,3 +341,60 @@ class TestBoundingBox:
         fields[field] = value
         with pytest.raises(ValueError):
             BoundingBox(**fields)
+
+
+class TestAssignmentSolver:
+    """association loads scipy's compiled solver module alone, so importing
+    jointtrack does not run scipy.optimize's package init."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_tracking_runs_without_scipy_optimize(self):
+        # A fresh interpreter: this one has scipy.optimize from other tests.
+        if association._lsap_path() is None:
+            pytest.skip("this scipy has no scipy/optimize/_lsap extension file")
+        code = (
+            "import json, sys\n"
+            "import jointtrack\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "from jointtrack.cli import run_tracker\n"
+            "from jointtrack.config import RunConfig\n"
+            "from jointtrack.simulator import Scenario, generate\n"
+            "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+            "    scenario = Scenario.from_dict(json.load(fh))\n"
+            "detections, _ = generate(scenario)\n"
+            "log = run_tracker(scenario.setup, RunConfig(), detections)\n"
+            "print(len(log), 'scipy.optimize' in sys.modules)\n"
+            "import scipy.optimize\n"
+            "print(hasattr(scipy.optimize, '_lsap'))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(self.ROOT / "scenarios" / "seq1_approach.json")],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert out.stdout.split() == ["False", "300", "False", "True"], out.stdout + out.stderr
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from([(1, 1), (3, 27), (27, 3), (20, 20)]),
+        data=st.data(),
+    )
+    def test_solver_equals_scipy_optimize(self, shape, data):
+        # A few values, FORBIDDEN_COST among them, so that rows hold exact
+        # ties and whole forbidden stretches.
+        from scipy.optimize import linear_sum_assignment
+
+        values = st.sampled_from([0.0, 1.0, 2.5, 40.0, FORBIDDEN_COST]) | st.floats(0.0, 80.0)
+        n = shape[0] * shape[1]
+        cost = np.array(data.draw(st.lists(values, min_size=n, max_size=n))).reshape(shape)
+        rows, cols = association.linear_sum_assignment(cost)
+        ref_rows, ref_cols = linear_sum_assignment(cost)
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(cols, ref_cols)
+
+    def test_without_the_file_the_public_function_is_used(self, monkeypatch):
+        from scipy.optimize import linear_sum_assignment
+
+        monkeypatch.setattr(association, "_lsap_path", lambda: None)
+        assert association._load_linear_sum_assignment() is linear_sum_assignment

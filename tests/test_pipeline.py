@@ -932,6 +932,15 @@ class TestHugeFrameGap:
             _canonical_result(r) for r in expected
         ]
 
+    def test_infinite_gap_is_refused(self):
+        # Two finite timestamps whose difference overflows to inf.
+        dets, _ = single_person_stream(duration=0.1)
+        first, second = (detection_frame_from_record(record, 0.3) for record in dets[:2])
+        session = TrackingSession(SETUP.camera, SETUP.ground, RunConfig(), SETUP.extrinsics)
+        assert session.process_frame(dataclasses.replace(first, timestamp=-1.7e308)).tracks
+        with pytest.raises(InvalidFrameError, match="frame gap of inf s"):
+            session.process_frame(dataclasses.replace(second, timestamp=1.7e308))
+
 
 class TestHintFromCode:
     """A Frame built in code names its hinted detection by an integer; any

@@ -5,13 +5,17 @@ linear prediction, the forward-projection pipeline for measurements, and a
 dense grid posterior for a nonlinear single-joint update.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from jointtrack.errors import (
     BehindCameraError,
+    JointTrackError,
     NonPositiveDtError,
     ObservationDimensionError,
+    PredictionOverflowError,
 )
 from jointtrack.geometry import (
     CameraModel,
@@ -124,6 +128,16 @@ class TestPredict:
             predict(state(0, 1), 0.0, PARAMS)
         with pytest.raises(NonPositiveDtError):
             predict(state(0, 1), -0.1, PARAMS)
+
+    @pytest.mark.parametrize("dt", [1.1e77, 1e78, float("inf")])
+    def test_huge_dt_raises_typed_error_without_warning(self, dt):
+        # 1.1e77 overflows the covariance, 1e78 process_noise's dt**4; an
+        # infinite dt overflows nowhere but gives inf * 0 = NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PredictionOverflowError) as info:
+                predict(state(0, 1, 0.5, -0.5), dt, PARAMS)
+        assert isinstance(info.value, JointTrackError)
 
 
 class TestObserve:
