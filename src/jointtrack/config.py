@@ -100,6 +100,9 @@ class RunConfig:
 
     gate_px and the initial sigmas must be finite and positive, like
     ukf's noise sigmas; a NaN gate would match nothing, without an error.
+    The lifecycle counters (max_misses, confirm_hits,
+    tentative_max_misses) must be ints or numpy integers, not bools, of at
+    least 1.
     """
 
     gate_px: float = DEFAULT_GATE_PX
@@ -120,8 +123,11 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite")
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_misses < 1 or self.confirm_hits < 1 or self.tentative_max_misses < 1:
-            raise ValueError("lifecycle counters must be at least 1")
+        for name in ("max_misses", "confirm_hits", "tentative_max_misses"):
+            value = getattr(self, name)
+            # `value < 1` alone passes a NaN, which then never ends a track.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if not 0 <= self.min_confidence <= 1:
             raise ValueError("min_confidence must be in [0, 1]")
         if not self.use_joints:

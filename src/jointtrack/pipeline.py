@@ -29,9 +29,7 @@ A frame's result counts as recognized ("Tracking") while the target track
 is alive, including short coasting stretches without a matched detection,
 whose box comes from the state through geometry's measurement model.
 Steps 2-4 each make one call for all tracks (predict_batch, expected_boxes,
-update_batch). Prediction reads the stacks behind the last frame's states
-while the live tracks hold exactly those states, in order, and stacks the
-live states anew after a spawn, death, loss or re-init. A matched
+update_batch); prediction stacks the live tracks' states. A matched
 detection's measurement is read from its pixel block: the block itself
 when every joint passes use_joints and min_confidence, otherwise one
 gather of the rows that do. update_batch gets the predicted stacks as
@@ -56,7 +54,7 @@ of a read-only stack, which cannot be made writeable.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -205,9 +203,6 @@ class Detection:
         confidences = tuple(obs.confidence for obs in given)
         object.__setattr__(self, "joints", _Joints(kinds, pixels, confidences, given))
 
-    def joint_pixels(self) -> Dict[JointKind, np.ndarray]:
-        return {kind: obs.pixel for kind, obs in self.joints.items()}
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -306,7 +301,6 @@ class TrackingSession:
         self._last_t: Optional[float] = None
         self._target_prior: Optional[PriorModel] = config.prior
         self._use_joints = frozenset(config.use_joints)
-        self._carried: Optional[List[TrackState]] = None  # the last frame's track_states
 
     # -- helpers -----------------------------------------------------------
 
@@ -405,16 +399,10 @@ class TrackingSession:
 
         # A track is named by its row in active, in the filter arrays and in match_gnn.
         active = [t for t in self._tracks if t.status is not TrackStatus.LOST]
-        states = [t.state for t in active]
         close, boxes = [], []
         if active:
-            # TrackState compares by identity, so == holds exactly when the
-            # live tracks still hold the states the last frame stacked.
-            if self._carried == states:
-                prior_s, prior_p = states[0].s.base, states[0].P.base
-            else:
-                prior_s = np.array([state.s for state in states])
-                prior_p = np.array([state.P for state in states])
+            prior_s = np.array([t.state.s for t in active])
+            prior_p = np.array([t.state.P for t in active])
             # Tracks exist only after a first frame, so _last_t is set.
             gap = frame.timestamp - self._last_t
             try:
@@ -461,7 +449,6 @@ class TrackingSession:
             if not finite.all():
                 post_s[~finite], post_p[~finite] = means[~finite], covs[~finite]
             states = track_states(post_s, post_p)
-            self._carried = states
             # A track is a hit exactly when its matched measurement updated
             # it; every other live track counts a miss.
             rows = zip(active, states, measurements, errors, finite.tolist())

@@ -12,7 +12,7 @@ Detection stream, one record per frame (field names are the wire contract):
 Joint names may be the pre-merged four (neck/hip/knee/ankle) or raw
 17-keypoint skeleton names (left_shoulder, right_hip, ...); ingestion
 merges pairs either way, in one pass per detection (the merge of
-merge_keypoints) that puts each kept keypoint in its name's slot of a
+merge_joint_pairs) that puts each kept keypoint in its name's slot of a
 fixed table. It reads each keypoint once, its confidence first: a
 keypoint below min_confidence is dropped without its pixel being read,
 which is most of them in a crowd, where a pose detector prints every
@@ -83,29 +83,12 @@ def merge_joint_pairs(
     NaN) and a merged confidence (a kept 1.5, not a dropped -0.5) must lie
     in [0, 1]; otherwise ValueError or TypeError.
 
-    raw_joints maps each name to (pixel, conf); merge_keypoints reads the
-    stream's [u, v, conf] instead, and both merge the same way. The result
-    is a read-only mapping in measurement order (JOINT_ORDER) whose pixels
-    are rows of one read-only block; it equals {} when nothing is kept.
+    raw_joints maps each name to (pixel, conf); ingest reads the stream's
+    [u, v, conf] instead, and both merge the same way. The result is a
+    read-only mapping in measurement order (JOINT_ORDER) whose pixels are
+    rows of one read-only block; it equals {} when nothing is kept.
     """
     keypoints = ((name, (pixel, _WHOLE_PIXEL, conf)) for name, (pixel, conf) in raw_joints.items())
-    return _merged_alone(keypoints, box, min_confidence)
-
-
-def merge_keypoints(
-    keypoints: Mapping[str, Sequence], box: BoundingBox, min_confidence: float
-) -> Mapping[JointKind, JointDetection]:
-    """merge_joint_pairs on the detection stream's {name: [u, v, conf]}.
-
-    Each keypoint is read once: its three values, then its confidence, and
-    only a kept keypoint's pixel is read as two numbers, so a suppressed
-    keypoint's pixel may be anything. This is ingest's merge, for one
-    detection with a pixel block of its own.
-    """
-    return _merged_alone(keypoints.items(), box, min_confidence)
-
-
-def _merged_alone(keypoints, box: BoundingBox, min_confidence: float) -> _Joints:
     pixels: List[float] = []
     joints = _merge(keypoints, box, min_confidence, pixels)
     if pixels:

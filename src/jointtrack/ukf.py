@@ -29,8 +29,7 @@ for a write-back. predict, update and observe are the one-track calls of
 the same code. track_states turns the frame's (T, 4) means and (T, 4, 4)
 covariances into T TrackStates at once: one copy and one symmetry check
 per stack, by the rule TrackState applies to one row, and each state holds
-read-only views of its rows, from which the pipeline predicts the next
-frame while its tracks keep these states.
+read-only views of its rows.
 
 The paper's own sequences follow one person, so most calls carry one
 track, and their cost is the number of numpy calls, not the arithmetic.
@@ -114,9 +113,8 @@ def track_states(means: np.ndarray, covs: np.ndarray) -> List[TrackState]:
 
     means is (T, 4) and covs (T, 4, 4). Each stack is copied once, C-ordered
     float64, every covariance is checked in one pass by TrackState's rule,
-    and both copies are made read-only; state t then holds views of row t,
-    which cannot be made writeable again. The copies stay reachable as
-    states[0].s.base and states[0].P.base, which the pipeline predicts from.
+    and both copies are made read-only and shared by the states; state t
+    then holds views of row t, which cannot be made writeable again.
 
     Raises:
         ValueError: a stack has the wrong shape, or some covariance is not
@@ -228,13 +226,13 @@ def predict_batch(
     the other rows.
 
     Raises:
-        NonPositiveDtError: dt <= 0.
+        NonPositiveDtError: dt is not positive (dt <= 0, or NaN).
         PredictionOverflowError: dt is infinite, or so long that the
             prediction overflows: numpy's overflow is raised as
             FloatingPointError, and process_noise's dt**4 on a Python
             float raises OverflowError.
     """
-    if dt <= 0:
+    if not dt > 0:  # a NaN dt fails too
         raise NonPositiveDtError(f"dt must be positive, got {dt}")
     if dt == math.inf:  # overflows nowhere, but F's inf * 0 gives NaN
         raise PredictionOverflowError("prediction over an infinite dt overflows")

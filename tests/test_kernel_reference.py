@@ -16,7 +16,8 @@ ukf.measurement_from_joints, for a detection built in code and for the
 same joints ingested as one pixel block. The keypoint merge, now one pass
 that puts each kept keypoint in a slot, is checked against the dict of
 kept keypoints it used to build: the same kinds, pixel and confidence
-bits, or the same exception type and message, alone and through ingest.
+bits, or the same exception type and message, through ingest of one
+detection and of several.
 """
 
 import struct
@@ -53,7 +54,7 @@ from jointtrack.geometry import (
 )
 from jointtrack.pipeline import Detection, JointDetection, TrackingSession
 from jointtrack.prior import PriorModel
-from jointtrack.streams import detection_frame_from_record, merge_keypoints
+from jointtrack.streams import detection_frame_from_record
 from jointtrack.ukf import (
     CHOLESKY_JITTER,
     COVARIANCE_SYMMETRY_TOL,
@@ -115,7 +116,7 @@ def ref_process_noise(dt, accel_sigma):
 
 
 def ref_predict_batch(means, covs, dt, params):
-    if dt <= 0:
+    if not dt > 0:
         raise NonPositiveDtError(f"dt must be positive, got {dt}")
     f = ref_transition_matrix(dt)
     s = (f @ np.asarray(means, dtype=float)[..., None])[..., 0]
@@ -862,7 +863,7 @@ def ref_merge_usable(usable, box):
 
 
 def ref_merge(keypoints, box, min_confidence):
-    """(kinds, (k, 2) pixels, confidences) of merge_keypoints as it was."""
+    """(kinds, (k, 2) pixels, confidences) of the keypoint merge as it was."""
     usable = {}
     for name, vals in keypoints.items():
         u, v, conf = vals[0], vals[1], vals[2]
@@ -876,6 +877,17 @@ def ref_merge(keypoints, box, min_confidence):
 
 def merged_fields(joints):
     return tuple(joints.kinds), joints.pixels, tuple(joints.confidences)
+
+
+def ingest_merge(keypoints, box, min_confidence):
+    """merged_fields of ingest's merge of a record holding one detection,
+    or the exception that detection_frame_from_record wraps."""
+    record = {"t": 0.5, "detections": [{"box": box.to_list(), "joints": keypoints}]}
+    try:
+        (detection,) = detection_frame_from_record(record, min_confidence).detections
+    except MalformedRecordError as exc:
+        raise exc.__cause__ from None
+    return merged_fields(detection.joints)
 
 
 def merge_outcome(fn, *args):
@@ -934,14 +946,10 @@ def keypoint_maps(draw):
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(keypoint_maps())
-def test_merge_keypoints_matches_reference(case):
+def test_ingest_of_one_detection_matches_reference(case):
     min_confidence, keypoints, box = case
     expected = merge_outcome(ref_merge, keypoints, box, min_confidence)
-
-    def merged(keypoints, box, min_confidence):
-        return merged_fields(merge_keypoints(keypoints, box, min_confidence))
-
-    assert merge_outcome(merged, keypoints, box, min_confidence) == expected
+    assert merge_outcome(ingest_merge, keypoints, box, min_confidence) == expected
 
 
 def ref_ingest(record, min_confidence):
@@ -996,12 +1004,8 @@ MERGE_CASES = [
 
 @pytest.mark.parametrize("keypoints", MERGE_CASES)
 def test_merge_named_cases_match_reference(keypoints):
-
-    def merged(keypoints, box, min_confidence):
-        return merged_fields(merge_keypoints(keypoints, box, min_confidence))
-
     expected = merge_outcome(ref_merge, keypoints, BOX, 0.3)
-    assert merge_outcome(merged, keypoints, BOX, 0.3) == expected
+    assert merge_outcome(ingest_merge, keypoints, BOX, 0.3) == expected
     record = {"t": 0.5, "detections": [{"box": BOX.to_list(), "joints": keypoints}]}
     assert ingest(record, 0.3) == ref_ingest(record, 0.3)
 

@@ -370,7 +370,8 @@ class TestTargetReinitialization:
 
         frame85 = detection_frame_from_record(stream[85], config.min_confidence)
         ankle, used = init_from_best_joint(
-            SETUP.camera, SETUP.ground, fitted, frame85.detections[0].joint_pixels()
+            SETUP.camera, SETUP.ground, fitted,
+            {k: o.pixel for k, o in frame85.detections[0].joints.items()},
         )
         assert used is JointKind.KNEE
         from jointtrack.geometry import camera_to_robot
@@ -444,7 +445,7 @@ class TestBadFirstFrame:
 
         stream, truth = two_person_stream()
         frame = detection_frame_from_record(stream[0], RunConfig().min_confidence)
-        obs = FullBodyObservation(joints=frame.detections[0].joint_pixels())
+        obs = FullBodyObservation(joints={k: o.pixel for k, o in frame.detections[0].joints.items()})
         with pytest.raises(DegenerateRayError):
             construct_prior(SETUP.camera, SETUP.ground, obs)
 
@@ -664,9 +665,9 @@ def _canonical_result(result):
     )
 
 
-class TestCarriedStacks:
-    """Predicting from the last frame's stacks gives what rebuilding them
-    gives, and the update hands every live track to update_batch at once."""
+class TestBatchedFrames:
+    """Through spawns, a death, a non-finite posterior, a loss and a
+    re-init, the update hands every live track to update_batch at once."""
 
     @staticmethod
     def stream():
@@ -679,7 +680,7 @@ class TestCarriedStacks:
         stream = json.loads(json.dumps(dets))
         # A ghost at frame 3 spawns a tentative track that dies unmatched at
         # frame 6, where a second ghost spawns: frame 7 then has as many
-        # live tracks as frame 6 stacked, but not the same ones.
+        # live tracks as frame 6, but not the same ones.
         for k, shift in ((3, 200.0), (6, -200.0)):
             ghost = json.loads(json.dumps(stream[k]["detections"][0]))
             ghost["box"][0] += shift
@@ -696,27 +697,15 @@ class TestCarriedStacks:
         stream[50]["reid_hint"] = [d["person"] for d in stream[50]["detections"]].index(0)
         return stream
 
-    def run(self, stream, drop_carried):
-        config = RunConfig()
-        session = TrackingSession(SETUP.camera, SETUP.ground, config, SETUP.extrinsics)
-        results = []
-        for record in stream:
-            if drop_carried:
-                session._carried = None
-            results.append(session.process_frame(detection_frame_from_record(record, 0.3)))
-        return results
+    def run(self, stream):
+        session = TrackingSession(SETUP.camera, SETUP.ground, RunConfig(), SETUP.extrinsics)
+        return [session.process_frame(detection_frame_from_record(r, 0.3)) for r in stream]
 
-    def test_fast_paths_match_their_fallbacks(self, monkeypatch):
-        import jointtrack.pipeline as pipeline
+    def test_sequence_runs_whole_and_gathered_updates(self, monkeypatch):
         import jointtrack.ukf as ukf
 
-        counts = {"carried": 0, "rebuilt": 0, "whole": 0, "gathered": 0}
+        counts = {"whole": 0, "gathered": 0}
         points = []
-
-        def predict_batch(means, covs, dt, params):
-            # The carried stacks are track_states' read-only copies.
-            counts["rebuilt" if means.flags.writeable else "carried"] += 1
-            return real_predict(means, covs, dt, params)
 
         def sigma_points(*args):
             out = real_sigma(*args)
@@ -728,33 +717,26 @@ class TestCarriedStacks:
             counts["whole" if states is points[-1] else "gathered"] += 1
             return real_project(states, *rest)
 
-        real_predict, real_sigma, real_project = (
-            pipeline.predict_batch, ukf._sigma_points, ukf._project_joints
-        )
-        monkeypatch.setattr(pipeline, "predict_batch", predict_batch)
+        real_sigma, real_project = ukf._sigma_points, ukf._project_joints
         monkeypatch.setattr(ukf, "_sigma_points", sigma_points)
         monkeypatch.setattr(ukf, "_project_joints", project_joints)
 
         stream = self.stream()
-        shipped = self.run(stream, drop_carried=False)
+        results = self.run(stream)
         assert min(counts.values()) > 0, counts
-        counts = dict.fromkeys(counts, 0)
-        dropped = self.run(stream, drop_carried=True)
-        assert counts["carried"] == 0 and counts["rebuilt"] > 0
-        assert [_canonical_result(r) for r in shipped] == [_canonical_result(r) for r in dropped]
 
         # The sequence does what it is built to do.
-        (ghost_id,) = [tid for tid, j in shipped[3].spawned if j == 3]
-        (second_id,) = [tid for tid, j in shipped[6].spawned if j == 3]
-        assert [t.id for t in shipped[6].tracks][-2:] == [ghost_id, second_id]
-        assert not any(t.id == ghost_id for t in shipped[7].tracks)
-        assert len(shipped[7].tracks) == len(shipped[5].tracks) == 4
-        assert len(shipped[0].spawned) == 3
-        assert any(t.misses == 1 and not t.is_target for t in shipped[10].tracks)
-        assert shipped[49].status is SessionStatus.LOST
-        assert shipped[50].status is SessionStatus.TRACKING
-        target_id = next(t.id for t in shipped[0].tracks if t.is_target)
-        assert (target_id, stream[50]["reid_hint"]) in shipped[50].matches
+        (ghost_id,) = [tid for tid, j in results[3].spawned if j == 3]
+        (second_id,) = [tid for tid, j in results[6].spawned if j == 3]
+        assert [t.id for t in results[6].tracks][-2:] == [ghost_id, second_id]
+        assert not any(t.id == ghost_id for t in results[7].tracks)
+        assert len(results[7].tracks) == len(results[5].tracks) == 4
+        assert len(results[0].spawned) == 3
+        assert any(t.misses == 1 and not t.is_target for t in results[10].tracks)
+        assert results[49].status is SessionStatus.LOST
+        assert results[50].status is SessionStatus.TRACKING
+        target_id = next(t.id for t in results[0].tracks if t.is_target)
+        assert (target_id, stream[50]["reid_hint"]) in results[50].matches
 
     def test_update_takes_whole_stacks_only_on_clean_frames(self, monkeypatch):
         # Per frame with live tracks: did each of update_batch's groups
@@ -870,7 +852,7 @@ class TestCarriedStacks:
         assert all(type(t) is TrackRecord for t in result.tracks)
 
     def test_matches_hold_plain_ints(self):
-        results = self.run(self.stream(), drop_carried=False)
+        results = self.run(self.stream())
         for result in results:
             for pairs in (result.matches, result.spawned):
                 assert all(type(tid) is int and type(j) is int for tid, j in pairs)

@@ -36,7 +36,6 @@ from jointtrack.prior import PriorModel
 from jointtrack.streams import (
     detection_frame_from_record,
     merge_joint_pairs,
-    merge_keypoints,
     read_jsonl,
     write_jsonl,
 )
@@ -180,6 +179,16 @@ class TestRunConfig:
     def test_non_finite_tunable_is_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, True, 0])
+    @pytest.mark.parametrize("name", ["max_misses", "confirm_hits", "tentative_max_misses"])
+    def test_lifecycle_counter_must_be_an_integer_of_at_least_1(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1"):
+            RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["max_misses", "confirm_hits", "tentative_max_misses"])
+    def test_lifecycle_counter_may_be_a_numpy_integer(self, name):
+        assert getattr(RunConfig(**{name: np.int64(2)}), name) == 2
 
     @pytest.mark.parametrize("name", ["initial_position_sigma", "initial_velocity_sigma"])
     @pytest.mark.parametrize("value", [0.0, -0.5])
@@ -764,31 +773,39 @@ def _merge_as_pairs(keypoints, box, min_confidence):
     return merge_joint_pairs(pairs, box, min_confidence)
 
 
-class TestMergeKeypoints:
+def _ingest_merge(keypoints, box, min_confidence):
+    """Ingest's merged joints of a record holding one detection, or the
+    exception that detection_frame_from_record wraps."""
+    record = {"t": 0.5, "detections": [{"box": box.to_list(), "joints": keypoints}]}
+    try:
+        (detection,) = detection_frame_from_record(record, min_confidence).detections
+    except MalformedRecordError as exc:
+        raise exc.__cause__ from None
+    return detection.joints
+
+
+class TestIngestMerge:
     @settings(max_examples=800, deadline=None, derandomize=True)
     @given(keypoint_maps(), st.sampled_from([0.3, 0.0, 1.0]))
     def test_equals_merge_joint_pairs_or_both_raise(self, case, min_confidence):
         keypoints, box = case
         expected = _merged(_merge_as_pairs, keypoints, box, min_confidence)
-        assert _merged(merge_keypoints, keypoints, box, min_confidence) == expected
+        assert _merged(_ingest_merge, keypoints, box, min_confidence) == expected
 
     @pytest.mark.parametrize("pixel", [["x", None], [None, None], [[1.0, 2.0], {}], ["", "nan"]])
     def test_suppressed_keypoint_pixel_is_never_read(self, pixel):
         keypoints = {"neck": pixel + [0.1], "left_hip": [10.0, 20.0, 0.9]}
-        merged = merge_keypoints(keypoints, BOX, 0.3)
+        merged = _ingest_merge(keypoints, BOX, 0.3)
         assert list(merged) == [JointKind.HIP]
         assert merged[JointKind.HIP].pixel.tolist() == [BOX.u, 20.0]
-        assert _merged(merge_keypoints, keypoints, BOX, 0.3) == _merged(
+        assert _merged(_ingest_merge, keypoints, BOX, 0.3) == _merged(
             _merge_as_pairs, keypoints, BOX, 0.3
         )
-        record = {"t": 0.5, "detections": [{"box": BOX.to_list(), "joints": keypoints}]}
-        frame = detection_frame_from_record(record, 0.3)
-        assert list(frame.detections[0].joints) == [JointKind.HIP]
 
     def test_merged_joints_are_checked_joint_detections(self):
         keypoints = {"left_shoulder": [1.0, 2.0, 0.5], "right_shoulder": [3.0, 4.0, 0.7],
                      "ankle": [5.0, 6.0, 1.0]}
-        merged = merge_keypoints(keypoints, BOX, 0.3)
+        merged = _ingest_merge(keypoints, BOX, 0.3)
         assert list(merged) == [JointKind.NECK, JointKind.ANKLE]
         assert merged[JointKind.NECK].pixel.tolist() == [2.0, 3.0]
         assert merged[JointKind.NECK].confidence == 0.6
@@ -797,7 +814,7 @@ class TestMergeKeypoints:
             assert type(obs) is JointDetection
             assert JointDetection(pixel=obs.pixel, confidence=obs.confidence).pixel is obs.pixel
         with pytest.raises(ValueError, match=r"^confidence must be in \[0, 1\]$"):
-            merge_keypoints({"neck": [1.0, 2.0, 1.5]}, BOX, 0.3)
+            _ingest_merge({"neck": [1.0, 2.0, 1.5]}, BOX, 0.3)
 
 
 # -- the merged pixel block ----------------------------------------------------------
@@ -1014,11 +1031,11 @@ def test_only_a_kept_keypoint_confidence_is_checked(confidence, min_confidence):
     kept = confidence >= min_confidence
     if kept:
         with pytest.raises(ValueError, match=r"^confidence must be in \[0, 1\]$"):
-            merge_keypoints(keypoints, BOX, min_confidence)
+            _merge_as_pairs(keypoints, BOX, min_confidence)
         with pytest.raises(MalformedRecordError, match=r"detections\[0\]\.joints: ValueError: confidence"):
             detection_frame_from_record(record, min_confidence)
     else:
-        assert JointKind.NECK not in merge_keypoints(keypoints, BOX, min_confidence)
+        assert JointKind.NECK not in _merge_as_pairs(keypoints, BOX, min_confidence)
         (detection,) = detection_frame_from_record(record, min_confidence).detections
         assert JointKind.NECK not in detection.joints
 

@@ -128,6 +128,8 @@ class TestPredict:
             predict(state(0, 1), 0.0, PARAMS)
         with pytest.raises(NonPositiveDtError):
             predict(state(0, 1), -0.1, PARAMS)
+        with pytest.raises(NonPositiveDtError):  # NaN <= 0 is False
+            predict(state(0, 1), float("nan"), PARAMS)
 
     @pytest.mark.parametrize("dt", [1.1e77, 1e78, float("inf")])
     def test_huge_dt_raises_typed_error_without_warning(self, dt):
