@@ -43,7 +43,6 @@ from .pipeline import (
 )
 from .prior import FullBodyObservation, PriorModel, construct_prior, init_from_best_joint
 from .simulator import PersonSpec, Scenario, generate, localization_errors
-from .streams import merge_joint_pairs
 from .ukf import TrackState, UkfParams, observe, predict, update
 
 __version__ = "0.1.0"
@@ -87,7 +86,6 @@ __all__ = [
     "localization_metrics",
     "localize_from_joint",
     "match_gnn",
-    "merge_joint_pairs",
     "observe",
     "predict",
     "project",

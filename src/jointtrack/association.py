@@ -111,9 +111,6 @@ class BoundingBox:
     def __post_init__(self):
         _check_box(self.u, self.v, self.w, self.h)
 
-    def center(self) -> np.ndarray:
-        return np.array([self.u, self.v])
-
     def to_list(self) -> List[float]:
         return [self.u, self.v, self.w, self.h]
 

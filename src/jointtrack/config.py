@@ -10,7 +10,10 @@ Camera config (JSON), parsed once at startup:
     }                                           # in the robot frame
 
 Run config (JSON) carries every tunable with the defaults below; a fitted
-prior model may be embedded under "prior" to skip full-body bootstrapping:
+prior model may be embedded under "prior" to skip full-body bootstrapping.
+A key not shown below, at the top level or in "prior", is an error, and
+the lifecycle counters (max_misses, confirm_hits, tentative_max_misses)
+must be integers; they are not rounded:
 
     {
       "gate_px": 80.0, "max_misses": 15, "confirm_hits": 3,
@@ -138,6 +141,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunConfig":
+        unknown = sorted(data.keys() - _RUN_CONFIG_KEYS)
+        if unknown:  # a misspelled key would otherwise leave its default
+            raise ValueError(f"unknown run config key(s): {', '.join(unknown)}")
         ukf_data = dict(data.get("ukf", {}))
         sigma = ukf_data.pop("joint_pixel_sigma", None)
         if sigma is not None:
@@ -147,11 +153,9 @@ class RunConfig:
         prior_data = data.get("prior")
         return cls(
             gate_px=float(data.get("gate_px", DEFAULT_GATE_PX)),
-            max_misses=int(data.get("max_misses", DEFAULT_MAX_MISSES)),
-            confirm_hits=int(data.get("confirm_hits", DEFAULT_CONFIRM_HITS)),
-            tentative_max_misses=int(
-                data.get("tentative_max_misses", DEFAULT_TENTATIVE_MAX_MISSES)
-            ),
+            max_misses=data.get("max_misses", DEFAULT_MAX_MISSES),
+            confirm_hits=data.get("confirm_hits", DEFAULT_CONFIRM_HITS),
+            tentative_max_misses=data.get("tentative_max_misses", DEFAULT_TENTATIVE_MAX_MISSES),
             min_confidence=float(data.get("min_confidence", DEFAULT_MIN_CONFIDENCE)),
             initial_position_sigma=float(
                 data.get("initial_position_sigma_m", DEFAULT_INITIAL_POSITION_SIGMA)
@@ -190,6 +194,9 @@ class RunConfig:
         if self.prior is not None:
             out["prior"] = self.prior.to_dict()
         return out
+
+
+_RUN_CONFIG_KEYS = frozenset(RunConfig().to_dict()) | {"prior"}
 
 
 def load_json(path, parse: Callable[[Any], T]) -> T:

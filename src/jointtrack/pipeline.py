@@ -28,13 +28,17 @@ usable joint can. A candidate whose fit or ray cast fails is unusable.
 A frame's result counts as recognized ("Tracking") while the target track
 is alive, including short coasting stretches without a matched detection,
 whose box comes from the state through geometry's measurement model.
-Steps 2-4 each make one call for all tracks (predict_batch, expected_boxes,
-update_batch); prediction stacks the live tracks' states. A matched
-detection's measurement is read from its pixel block: the block itself
-when every joint passes use_joints and min_confidence, otherwise one
-gather of the rows that do. update_batch gets the predicted stacks as
-they are and one measurement per live track, in row order, None for a
-track without a usable matched measurement (its rows come back as given).
+Every detection is measured once, before acquisition: its measurement
+(z, kinds) is read from its pixel block, the block itself when every
+joint passes use_joints and min_confidence, otherwise one gather of the
+rows that do, and is None when none does. Acquisition with a prior, the
+update and spawning all read that one measurement; only the full-body fit
+without a prior reads the detection's joints. Steps 2-4 each make one
+call for all tracks (predict_batch, expected_boxes, update_batch);
+prediction stacks the live tracks' states. update_batch gets the
+predicted stacks as they are and one measurement per live track, in row
+order, None for a track without a usable matched measurement (its rows
+come back as given).
 Its stacks become the new states, save that a row whose posterior is not
 finite takes its prediction back; update_batch alone gathers and writes
 back rows. One ukf.track_states call turns the stacks into every live
@@ -42,8 +46,8 @@ track's new TrackState. A track is updated, and counts a hit, exactly when
 it matched a detection with a usable measurement, update_batch reported no
 error for it and its posterior is finite; every other live track counts a
 miss: unmatched, too close for a box, or matched without a usable
-measurement. A detection without joints is never located, so it spawns
-nothing. Every detection neither matched nor spawned is unmatched.
+measurement. A detection without a usable joint is never located, so it
+spawns nothing. Every detection neither matched nor spawned is unmatched.
 
 Sessions are single-writer state machines: process_frame calls must be
 serialized per session, while distinct sessions are independent. Returned
@@ -250,6 +254,10 @@ class FrameResult:
 # Spawned tracks are placed with average adult proportions.
 _DEFAULT_PRIOR = PriorModel()
 
+# A detection's (z, kinds): its usable joint pixels, flat in measurement
+# order, and their kinds, as update_batch takes them.
+_Measurement = Tuple[np.ndarray, List[JointKind]]
+
 
 @dataclass
 class _Track:
@@ -336,32 +344,26 @@ class TrackingSession:
         self._tracks.append(track)
         return track
 
-    def _usable(self, joints: _Joints) -> Tuple[List[JointKind], Sequence[int]]:
-        """The kinds of joints in use_joints with at least min_confidence, in
-        measurement order (JOINT_ORDER), and their rows in joints.pixels."""
-        allowed, min_confidence = self._use_joints, self.config.min_confidence
+    def _measurement(self, detection: Detection) -> Optional[_Measurement]:
+        """(z, kinds) for update_batch: detection's joints in use_joints with
+        at least min_confidence, their pixels in measurement order
+        (JOINT_ORDER) read from its pixel block (the block itself when every
+        joint is usable), and their kinds; None if none is usable."""
+        joints = detection.joints
         kinds = joints.kinds
-        if kinds and min(joints.confidences) >= min_confidence and allowed.issuperset(kinds):
-            return list(kinds), range(len(kinds))  # every row, without the per-joint loop
+        if not kinds:
+            return None
+        allowed, min_confidence = self._use_joints, self.config.min_confidence
+        if min(joints.confidences) >= min_confidence and allowed.issuperset(kinds):
+            return joints.pixels.reshape(-1), list(kinds)  # every row, without the loop
         kinds, rows = [], []
         for row, (kind, confidence) in enumerate(zip(joints.kinds, joints.confidences)):
             if kind in allowed and confidence >= min_confidence:
                 kinds.append(kind)
                 rows.append(row)
-        return kinds, rows
-
-    def _measurement(self, detection: Detection) -> Optional[Tuple[np.ndarray, List[JointKind]]]:
-        """(z, kinds) for update_batch: detection's usable joint pixels in
-        measurement order, read from its pixel block (the block itself when
-        every joint is usable), and their kinds; None if none is usable."""
-        joints = detection.joints
-        kinds, rows = self._usable(joints)
         if not kinds:
             return None
-        pixels = joints.pixels
-        if len(rows) < len(pixels):
-            pixels = pixels[rows]
-        return pixels.reshape(-1), kinds
+        return joints.pixels[rows].reshape(-1), kinds
 
     def _robot_location(self, track: _Track) -> np.ndarray:
         ankle = self.ground.to_camera(track.state.s[0], track.state.s[1])
@@ -417,8 +419,9 @@ class TrackingSession:
             close, boxes = too_close.tolist(), boxes.tolist()
         self._last_t = frame.timestamp
         detections = list(frame.detections)
+        measured = [self._measurement(d) for d in detections]
         target = self.target
-        acquired, target_ankle = self._acquire(hint, detections, target)
+        acquired, target_ankle = self._acquire(hint, detections, measured, target)
 
         assoc = match_gnn(
             list(zip([row for row, c in enumerate(close) if not c], boxes)),
@@ -429,13 +432,13 @@ class TrackingSession:
 
         matches: List[Tuple[int, int]] = []
         matched_target_box: Optional[BoundingBox] = None
-        measurements: List[Optional[Tuple[np.ndarray, List[JointKind]]]] = [None] * len(active)
+        measurements: List[Optional[_Measurement]] = [None] * len(active)
         for row, j, _dist in assoc.matches:
             track = active[row]
             matches.append((track.id, j))
             if track.is_target:
                 matched_target_box = detections[j].box
-            measurements[row] = self._measurement(detections[j])
+            measurements[row] = measured[j]
 
         # One batched update of every live track, in row order, with None for
         # a track without a usable matched measurement. A track whose update
@@ -487,11 +490,11 @@ class TrackingSession:
             matched_target_box = detections[acquired].box
 
         # Spawning waits for a target, so that it gets the lowest id. A
-        # detection without joints places no one, so it is not located.
+        # detection without a usable joint places no one, so it is not located.
         if target is not None:
             for j in assoc.unmatched_detections:
-                if detections[j].joints:
-                    ankle = self._locate(detections[j], _DEFAULT_PRIOR)
+                if measured[j] is not None:
+                    ankle = self._locate(measured[j], _DEFAULT_PRIOR)
                     if ankle is not None:
                         track = self._new_track(ankle, is_target=False, prior=_DEFAULT_PRIOR)
                         spawned.append((track.id, j))
@@ -517,7 +520,11 @@ class TrackingSession:
         return result
 
     def _acquire(
-        self, hint: Optional[int], detections: List[Detection], target: Optional[_Track]
+        self,
+        hint: Optional[int],
+        detections: List[Detection],
+        measured: List[Optional[_Measurement]],
+        target: Optional[_Track],
     ) -> Tuple[Optional[int], Optional[np.ndarray]]:
         """The index of the detection that (re)acquires the target, kept out
         of matching, and the ankle placing the target there (None if it
@@ -533,17 +540,22 @@ class TrackingSession:
         else:
             return None, None
         for idx in candidates:
-            ankle = self._place(detections[idx])
+            ankle = self._place(detections[idx], measured[idx])
             if ankle is not None:
                 return idx, ankle
         return hint, None
 
-    def _place(self, detection: Detection) -> Optional[np.ndarray]:
-        """Camera-frame ankle placing the target at detection, or None. Without
-        a target prior only a full-body detection can place it, and its fit
-        becomes the prior; with one, any usable joint can."""
+    def _place(
+        self, detection: Detection, measurement: Optional[_Measurement]
+    ) -> Optional[np.ndarray]:
+        """Camera-frame ankle placing the target at detection, whose
+        measurement is given, or None. Without a target prior only a
+        full-body detection can place it, and its fit becomes the prior;
+        with one, any usable joint can."""
         if self._target_prior is not None:
-            return self._locate(detection, self._target_prior)
+            if measurement is None:
+                return None
+            return self._locate(measurement, self._target_prior)
         joints = detection.joints
         if len(joints) < len(JOINT_ORDER):
             return None
@@ -554,14 +566,12 @@ class TrackingSession:
             return None
         return ankle
 
-    def _locate(self, detection: Detection, prior: PriorModel) -> Optional[np.ndarray]:
-        """Camera-frame ankle of a person with prior at detection, cast from
-        its best usable joint; None if no usable joint admits a ray cast."""
-        joints = detection.joints
-        kinds, rows = self._usable(joints)
-        if not kinds:
-            return None
-        pixels = {kind: joints.pixels[row] for kind, row in zip(kinds, rows)}
+    def _locate(self, measurement: _Measurement, prior: PriorModel) -> Optional[np.ndarray]:
+        """Camera-frame ankle of a person with prior at a detection's
+        measurement, cast from its best joint; None if no joint admits a
+        ray cast."""
+        z, kinds = measurement
+        pixels = dict(zip(kinds, z.reshape(-1, 2)))
         try:
             return init_from_best_joint(self.camera, self.ground, prior, pixels)[0]
         except NoUsableJointError:

@@ -117,12 +117,18 @@ class PriorModel:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, float]) -> "PriorModel":
+        unknown = sorted(data.keys() - _PRIOR_KEYS)
+        if unknown:  # a misspelled key would otherwise leave its default
+            raise ValueError(f"unknown prior key(s): {', '.join(unknown)}")
         return cls(
             h_neck=float(data["h_neck"]),
             h_hip=float(data["h_hip"]),
             h_knee=float(data["h_knee"]),
             body_width=float(data.get("body_width", DEFAULT_BODY_WIDTH)),
         )
+
+
+_PRIOR_KEYS = frozenset(PriorModel().to_dict())
 
 
 @dataclass(frozen=True)

@@ -11,21 +11,26 @@ Detection stream, one record per frame (field names are the wire contract):
 
 Joint names may be the pre-merged four (neck/hip/knee/ankle) or raw
 17-keypoint skeleton names (left_shoulder, right_hip, ...); ingestion
-merges pairs either way, in one pass per detection (the merge of
-merge_joint_pairs) that puts each kept keypoint in its name's slot of a
-fixed table. It reads each keypoint once, its confidence first: a
-keypoint below min_confidence is dropped without its pixel being read,
-which is most of them in a crowd, where a pose detector prints every
-keypoint of every person. A frame's merged pixels are one read-only array,
-and each detection's joints a row slice of it. Records may carry extra
-keys (the simulator adds "person" for bookkeeping); readers ignore them. A
-record that lacks a field or holds an invalid value (NaN or infinite "t"
-included) raises MalformedRecordError naming it, and read_jsonl raises it
-with the line number for a line that is not UTF-8 or not JSON, such as one
-cut short. A kept keypoint's pixel may be null: it reads as NaN, and an
-update with it counts as a miss. read_jsonl parses with the cyclic
-garbage collector paused (files.collection_paused): decoded records are
-trees, which reference counting frees.
+merges them into the four tracked joints, in one pass per detection that
+puts each kept keypoint in its name's slot of a fixed table. A left/right
+hip, knee or ankle pair becomes one joint at the box-centre u and the
+pair's mean v and confidence (or the one visible keypoint's); the
+shoulders' midpoint, or the one shoulder, becomes the neck. A pre-merged
+name takes precedence over the pair that feeds it, and other names are
+ignored. Ingest reads each keypoint once, its confidence first: a
+keypoint below min_confidence (or NaN) is dropped without its pixel being
+read, which is most of them in a crowd, where a pose detector prints every
+keypoint of every person; a kept merged confidence must lie in [0, 1].
+A frame's merged pixels are one read-only array, and each detection's
+joints a row slice of it. Records may carry extra keys (the simulator
+adds "person" for bookkeeping); readers ignore them. A record that lacks
+a field or holds an invalid value (NaN or infinite "t" included) raises
+MalformedRecordError naming it, and read_jsonl raises it with the line
+number for a line that is not UTF-8 or not JSON, such as one cut short.
+A kept keypoint's pixel may be null: it reads as NaN, and an update with
+it counts as a miss. read_jsonl parses with the cyclic garbage collector
+paused (files.collection_paused): decoded records are trees, which
+reference counting frees.
 
 Track log, one record per processed frame:
 
@@ -43,15 +48,15 @@ Ground-truth stream (simulator output):
 
 import json
 import math
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
 from .association import BoundingBox
 from .errors import MalformedRecordError
 from .files import collection_paused, open_bytes, write_text
-from .geometry import JOINT_ORDER, JointKind
-from .pipeline import Detection, Frame, FrameResult, JointDetection, _Joints
+from .geometry import JOINT_ORDER
+from .pipeline import Detection, Frame, FrameResult, _Joints
 
 _NO_JOINTS = _Joints((), np.empty((0, 2)), ())
 _NO_JOINTS.pixels.flags.writeable = False
@@ -63,51 +68,19 @@ _SLOTS = {name: slot for slot, name in enumerate((
     "knee", "left_knee", "right_knee", "ankle", "left_ankle", "right_ankle",
 ))}
 _KIND_SLOTS = tuple((kind, 3 * kind) for kind in JOINT_ORDER)
-# Stands in for v when merge_joint_pairs passes a (pixel, conf) pair on.
-_WHOLE_PIXEL = object()
-
-
-def merge_joint_pairs(
-    raw_joints: Mapping[str, Tuple[Sequence[float], float]],
-    box: BoundingBox,
-    min_confidence: float,
-) -> Mapping[JointKind, JointDetection]:
-    """Collapse raw keypoints into the four tracked joints.
-
-    Left/right hip, knee and ankle pairs become one point each: the
-    horizontal coordinate is the box center, the vertical one the mean of
-    the pair (or the single visible joint's). The neck is taken directly
-    when present, otherwise from the shoulder midpoint. Keypoints below
-    min_confidence (or NaN) are dropped unchecked; pre-merged streams pass
-    through unchanged. A kept pixel must read as two numbers (null reads as
-    NaN) and a merged confidence (a kept 1.5, not a dropped -0.5) must lie
-    in [0, 1]; otherwise ValueError or TypeError.
-
-    raw_joints maps each name to (pixel, conf); ingest reads the stream's
-    [u, v, conf] instead, and both merge the same way. The result is a
-    read-only mapping in measurement order (JOINT_ORDER) whose pixels are
-    rows of one read-only block; it equals {} when nothing is kept.
-    """
-    keypoints = ((name, (pixel, _WHOLE_PIXEL, conf)) for name, (pixel, conf) in raw_joints.items())
-    pixels: List[float] = []
-    joints = _merge(keypoints, box, min_confidence, pixels)
-    if pixels:
-        _share_block([joints], pixels)
-    return joints
 
 
 def _merge(keypoints, box: BoundingBox, min_confidence: float, pixels: List[float]) -> _Joints:
-    """The merge of (name, [u, v, conf]) pairs: the merged joints, their
-    pixels appended to pixels as u, v, ... and not yet set (_share_block
-    sets them), or _NO_JOINTS when no slot is filled."""
+    """The merge (see the module docstring) of (name, [u, v, conf]) pairs:
+    the merged joints, their pixels appended to pixels as u, v, ... and not
+    yet set (_share_block sets them), or _NO_JOINTS when no slot is filled."""
     slots = None
     for name, vals in keypoints:
         u, v, conf = vals[0], vals[1], vals[2]
         conf = float(conf)
         if conf >= min_confidence:
             if type(u) is not float or type(v) is not float:
-                pixel = u if v is _WHOLE_PIXEL else (u, v)
-                u, v = np.asarray(pixel, dtype=float).reshape(2).tolist()
+                u, v = np.asarray((u, v), dtype=float).reshape(2).tolist()
             slot = _SLOTS.get(name)
             if slot is not None:
                 if slots is None:

@@ -35,7 +35,7 @@ from jointtrack.simulator import (
     Scenario,
     generate,
 )
-from jointtrack.streams import detection_frame_from_record, merge_joint_pairs, result_to_record
+from jointtrack.streams import detection_frame_from_record, result_to_record
 from jointtrack.ukf import TrackState
 
 SETUP = CameraSetup.from_dict(
@@ -52,6 +52,14 @@ SETUP = CameraSetup.from_dict(
 )
 
 BOX = BoundingBox(u=400.0, v=300.0, w=80.0, h=260.0)
+
+
+def ingest_merge(raw, box, min_confidence):
+    """The merged joints of a record holding one detection, whose keypoints
+    raw maps each name to [u, v, conf]."""
+    record = {"t": 0.5, "detections": [{"box": box.to_list(), "joints": raw}]}
+    (detection,) = detection_frame_from_record(record, min_confidence).detections
+    return detection.joints
 
 
 def run_stream(records, config=None, setup=SETUP):
@@ -118,51 +126,51 @@ class TestJointDetection:
 class TestMergeJointPairs:
     def test_both_ankles_average(self):
         raw = {
-            "left_ankle": ((380.0, 700.0), 0.9),
-            "right_ankle": ((430.0, 710.0), 0.8),
+            "left_ankle": [380.0, 700.0, 0.9],
+            "right_ankle": [430.0, 710.0, 0.8],
         }
-        merged = merge_joint_pairs(raw, BOX, 0.3)
+        merged = ingest_merge(raw, BOX, 0.3)
         np.testing.assert_allclose(merged[JointKind.ANKLE].pixel, [400.0, 705.0])
         assert merged[JointKind.ANKLE].confidence == pytest.approx(0.85)
 
     def test_single_knee_uses_box_center_u(self):
-        raw = {"left_knee": ((380.0, 600.0), 0.9)}
-        merged = merge_joint_pairs(raw, BOX, 0.3)
+        raw = {"left_knee": [380.0, 600.0, 0.9]}
+        merged = ingest_merge(raw, BOX, 0.3)
         np.testing.assert_allclose(merged[JointKind.KNEE].pixel, [400.0, 600.0])
 
     def test_low_confidence_pair_dropped(self):
         raw = {
-            "left_hip": ((390.0, 500.0), 0.1),
-            "right_hip": ((410.0, 505.0), 0.1),
+            "left_hip": [390.0, 500.0, 0.1],
+            "right_hip": [410.0, 505.0, 0.1],
         }
-        merged = merge_joint_pairs(raw, BOX, 0.3)
+        merged = ingest_merge(raw, BOX, 0.3)
         assert JointKind.HIP not in merged
 
     def test_shoulder_midpoint_becomes_neck(self):
         raw = {
-            "left_shoulder": ((380.0, 330.0), 0.9),
-            "right_shoulder": ((420.0, 336.0), 0.7),
+            "left_shoulder": [380.0, 330.0, 0.9],
+            "right_shoulder": [420.0, 336.0, 0.7],
         }
-        merged = merge_joint_pairs(raw, BOX, 0.3)
+        merged = ingest_merge(raw, BOX, 0.3)
         np.testing.assert_allclose(merged[JointKind.NECK].pixel, [400.0, 333.0])
         assert merged[JointKind.NECK].confidence == pytest.approx(0.8)
 
     def test_premerged_names_pass_through(self):
-        raw = {"neck": ((402.0, 331.0), 0.95), "ankle": ((401.0, 707.0), 0.9)}
-        merged = merge_joint_pairs(raw, BOX, 0.3)
+        raw = {"neck": [402.0, 331.0, 0.95], "ankle": [401.0, 707.0, 0.9]}
+        merged = ingest_merge(raw, BOX, 0.3)
         np.testing.assert_allclose(merged[JointKind.NECK].pixel, [402.0, 331.0])
         np.testing.assert_allclose(merged[JointKind.ANKLE].pixel, [401.0, 707.0])
 
     def test_unknown_keypoints_ignored(self):
-        raw = {"nose": ((400.0, 300.0), 0.99), "left_wrist": ((350.0, 450.0), 0.9)}
-        assert merge_joint_pairs(raw, BOX, 0.3) == {}
+        raw = {"nose": [400.0, 300.0, 0.99], "left_wrist": [350.0, 450.0, 0.9]}
+        assert ingest_merge(raw, BOX, 0.3) == {}
 
     def test_single_shoulder_becomes_neck(self):
         raw = {
-            "left_shoulder": ((380.0, 330.0), 0.1),
-            "right_shoulder": ((420.0, 336.0), 0.7),
+            "left_shoulder": [380.0, 330.0, 0.1],
+            "right_shoulder": [420.0, 336.0, 0.7],
         }
-        merged = merge_joint_pairs(raw, BOX, 0.3)
+        merged = ingest_merge(raw, BOX, 0.3)
         assert set(merged) == {JointKind.NECK}
         np.testing.assert_array_equal(merged[JointKind.NECK].pixel, [420.0, 336.0])
         assert merged[JointKind.NECK].confidence == 0.7
@@ -193,10 +201,10 @@ class TestMergeJointPairs:
             (JointKind.ANKLE, ("left_ankle", "right_ankle")),
         ]:
             for v0, v1, c0, c1 in members:
-                raw = {left: ((1.0, v0), c0)}
+                raw = {left: [1.0, v0, c0]}
                 if v1 is not None:
-                    raw[right] = ((2.0, v1), c1)
-                obs = merge_joint_pairs(raw, BOX, 0.0)[kind]
+                    raw[right] = [2.0, v1, c1]
+                obs = ingest_merge(raw, BOX, 0.0)[kind]
                 vs = [v0] if v1 is None else [v0, v1]
                 cs = [c0] if c1 is None else [c0, c1]
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -206,13 +214,13 @@ class TestMergeJointPairs:
                 assert np.float64(obs.confidence).tobytes() == c_mean.tobytes()
 
     def test_negative_confidence_is_dropped(self):
-        raw = {"neck": ((402.0, 331.0), -0.5), "left_hip": ((390.0, 500.0), -1e-9)}
-        assert merge_joint_pairs(raw, BOX, 0.3) == {}
-        assert merge_joint_pairs(raw, BOX, 0.0) == {}
+        raw = {"neck": [402.0, 331.0, -0.5], "left_hip": [390.0, 500.0, -1e-9]}
+        assert ingest_merge(raw, BOX, 0.3) == {}
+        assert ingest_merge(raw, BOX, 0.0) == {}
 
     def test_null_pixel_reads_as_nan(self):
-        raw = {"neck": ((None, 331.0), 0.9), "left_hip": ((390.0, None), 0.8)}
-        merged = merge_joint_pairs(raw, BOX, 0.3)
+        raw = {"neck": [None, 331.0, 0.9], "left_hip": [390.0, None, 0.8]}
+        merged = ingest_merge(raw, BOX, 0.3)
         neck, hip = merged[JointKind.NECK].pixel, merged[JointKind.HIP].pixel
         assert np.isnan(neck[0]) and neck[1] == 331.0
         assert hip[0] == BOX.u and np.isnan(hip[1])
@@ -596,16 +604,17 @@ class TestNonTargetLifecycle:
         located = []
         locate = session._locate
 
-        def recording_locate(detection, prior):
-            located.append(detection)
-            return locate(detection, prior)
+        def recording_locate(measurement, prior):
+            located.append(measurement)
+            return locate(measurement, prior)
 
         session._locate = recording_locate
         results = []
         for rec in stream:
             frame = detection_frame_from_record(rec, config.min_confidence)
             results.append(session.process_frame(frame))
-            assert all(d.joints for d in located)
+            # Only a measurement of at least one usable joint reaches a ray cast.
+            assert all(z.size and len(kinds) for z, kinds in located)
 
         target_id = results[0].spawned[0][0]
         for number, (rec, res) in enumerate(zip(stream[2:], results[2:]), 2):
@@ -619,6 +628,47 @@ class TestNonTargetLifecycle:
             n = len(rec["detections"])
             seen = sorted(list(matched) + spawned + list(res.unmatched_detections))
             assert seen == list(range(n))
+
+    def test_each_detection_is_measured_once_per_frame(self):
+        # Acquisition (with a preloaded prior), the update and spawning all
+        # read one measurement per detection, made before any of them.
+        dets, _ = single_person_stream()
+        stream = [json.loads(json.dumps(rec)) for rec in dets[:8]]
+        for number, rec in enumerate(stream):
+            target = rec["detections"][0]
+            u, v, w, h = target["box"]
+            rec["detections"].insert(0, {"box": [u - 150.0, v, w, h]})
+            rec.pop("reid_hint", None)  # acquisition tries each detection in turn
+            if number == 5:
+                ghost = json.loads(json.dumps(target))
+                ghost["box"][0] += 300.0
+                for joint in ghost["joints"].values():
+                    joint[0] += 300.0
+                rec["detections"].append(ghost)
+
+        config = RunConfig(prior=PriorModel())
+        session = TrackingSession(SETUP.camera, SETUP.ground, config, SETUP.extrinsics)
+        measured = []
+        measurement = session._measurement
+
+        def counting_measurement(detection):
+            measured.append(detection)
+            return measurement(detection)
+
+        session._measurement = counting_measurement
+        results = []
+        for rec in stream:
+            frame = detection_frame_from_record(rec, config.min_confidence)
+            measured.clear()
+            results.append(session.process_frame(frame))
+            assert list(map(id, measured)) == list(map(id, frame.detections))
+
+        # The stream exercises every reader: the box-only detection 0 cannot
+        # place the target, detection 1 acquires it, later frames match it,
+        # and frame 5's ghost spawns.
+        assert results[0].spawned == ((1, 1),)
+        assert all((1, 1) in res.matches for res in results[1:])
+        assert [j for _, j in results[5].spawned] == [2]
 
 
 class TestFrameResultSnapshots:

@@ -35,7 +35,6 @@ from jointtrack.pipeline import (
 from jointtrack.prior import PriorModel
 from jointtrack.streams import (
     detection_frame_from_record,
-    merge_joint_pairs,
     read_jsonl,
     write_jsonl,
 )
@@ -227,6 +226,34 @@ class TestRunConfig:
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {cause}$"):
             load_run_config(path)
+
+    @pytest.mark.parametrize(
+        "data, cause",
+        [
+            ({"gate_pixels": 10}, r"unknown run config key\(s\): gate_pixels"),
+            ({"gate_px": 10, "ukf_": {}, "Gate_px": 5}, r"unknown run config key\(s\): Gate_px, ukf_"),
+            ({"prior": {**PRIOR_DICT, "bodywidth": 0.1}}, r"unknown prior key\(s\): bodywidth"),
+        ],
+        ids=["top-level", "two-top-level", "prior"],
+    )
+    def test_run_config_file_with_unknown_key_is_a_config_error(self, tmp_path, data, cause):
+        # A misspelled key would otherwise leave its setting at the default.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {cause}$"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("value", [True, 2.7, "4"], ids=["bool", "fraction", "string"])
+    @pytest.mark.parametrize("name", ["max_misses", "confirm_hits", "tentative_max_misses"])
+    def test_run_config_file_counter_must_be_an_integer(self, tmp_path, name, value):
+        # The file's value reaches RunConfig as it is: nothing rounds it.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({name: value}))
+        cause = f"{name} must be an integer of at least 1, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {re.escape(cause)}$"):
+            load_run_config(path)
+        path.write_text(json.dumps({name: 4}))
+        assert getattr(load_run_config(path), name) == 4
 
     def test_cli_reports_nan_gate_on_one_line(self, tmp_path, capsys):
         camera, config, dets = tmp_path / "camera.json", tmp_path / "run.json", tmp_path / "d.jsonl"
@@ -435,7 +462,7 @@ class TestJsonl:
 #
 # The reference below is the ingest path as it stood before the pixel of each
 # kept keypoint was read without numpy: detection_frame_from_record,
-# merge_joint_pairs and BoundingBox.from_list (with BoundingBox's validation)
+# the keypoint merge and BoundingBox.from_list (with BoundingBox's validation)
 # as they were. It differs from that code in three places only, all marked: a
 # t that is not finite, and a number beyond the float range (OverflowError,
 # which used to escape untyped), are malformed, and a "detections" value that
@@ -756,23 +783,6 @@ def keypoint_maps(draw):
     return {name: _keypoint(draw, value) for name in names}, box
 
 
-def _merged(merge, keypoints, box, min_confidence):
-    """merge's joints by kind, pixel bytes and confidence bits, or "raised"."""
-    try:
-        joints = merge(keypoints, box, min_confidence)
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError):
-        return "raised"
-    return [
-        (kind, obs.pixel.dtype, obs.pixel.shape, obs.pixel.tobytes(), _bits(obs.confidence))
-        for kind, obs in joints.items()
-    ]
-
-
-def _merge_as_pairs(keypoints, box, min_confidence):
-    pairs = {name: ((vals[0], vals[1]), vals[2]) for name, vals in keypoints.items()}
-    return merge_joint_pairs(pairs, box, min_confidence)
-
-
 def _ingest_merge(keypoints, box, min_confidence):
     """Ingest's merged joints of a record holding one detection, or the
     exception that detection_frame_from_record wraps."""
@@ -785,22 +795,12 @@ def _ingest_merge(keypoints, box, min_confidence):
 
 
 class TestIngestMerge:
-    @settings(max_examples=800, deadline=None, derandomize=True)
-    @given(keypoint_maps(), st.sampled_from([0.3, 0.0, 1.0]))
-    def test_equals_merge_joint_pairs_or_both_raise(self, case, min_confidence):
-        keypoints, box = case
-        expected = _merged(_merge_as_pairs, keypoints, box, min_confidence)
-        assert _merged(_ingest_merge, keypoints, box, min_confidence) == expected
-
     @pytest.mark.parametrize("pixel", [["x", None], [None, None], [[1.0, 2.0], {}], ["", "nan"]])
     def test_suppressed_keypoint_pixel_is_never_read(self, pixel):
         keypoints = {"neck": pixel + [0.1], "left_hip": [10.0, 20.0, 0.9]}
         merged = _ingest_merge(keypoints, BOX, 0.3)
         assert list(merged) == [JointKind.HIP]
         assert merged[JointKind.HIP].pixel.tolist() == [BOX.u, 20.0]
-        assert _merged(_ingest_merge, keypoints, BOX, 0.3) == _merged(
-            _merge_as_pairs, keypoints, BOX, 0.3
-        )
 
     def test_merged_joints_are_checked_joint_detections(self):
         keypoints = {"left_shoulder": [1.0, 2.0, 0.5], "right_shoulder": [3.0, 4.0, 0.7],
@@ -1030,30 +1030,15 @@ def test_only_a_kept_keypoint_confidence_is_checked(confidence, min_confidence):
     record = {"t": 0.5, "detections": [{"box": BOX.to_list(), "joints": keypoints}]}
     kept = confidence >= min_confidence
     if kept:
-        with pytest.raises(ValueError, match=r"^confidence must be in \[0, 1\]$"):
-            _merge_as_pairs(keypoints, BOX, min_confidence)
         with pytest.raises(MalformedRecordError, match=r"detections\[0\]\.joints: ValueError: confidence"):
             detection_frame_from_record(record, min_confidence)
     else:
-        assert JointKind.NECK not in _merge_as_pairs(keypoints, BOX, min_confidence)
         (detection,) = detection_frame_from_record(record, min_confidence).detections
         assert JointKind.NECK not in detection.joints
 
 
-def test_every_exported_name_resolves_and_merge_joint_pairs_is_ingests_merge():
+def test_every_exported_name_resolves():
     import jointtrack
-    import jointtrack.streams
 
     missing = [name for name in jointtrack.__all__ if not hasattr(jointtrack, name)]
     assert missing == []
-    assert jointtrack.merge_joint_pairs is jointtrack.streams.merge_joint_pairs
-    keypoints = {"left_shoulder": [380.0, 330.0, 0.9], "right_shoulder": [420.0, 336.0, 0.7],
-                 "left_hip": [390.0, 500.0, 0.8], "right_knee": [410.0, 600.0, 0.2],
-                 "ankle": [401.0, 707.0, 0.95], "nose": [400.0, 300.0, 0.99]}
-    record = {"t": 0.5, "detections": [{"box": BOX.to_list(), "joints": keypoints}]}
-    (ingested,) = detection_frame_from_record(record, 0.3).detections
-    exported = jointtrack.merge_joint_pairs(
-        {name: ((u, v), conf) for name, (u, v, conf) in keypoints.items()}, BOX, 0.3
-    )
-    assert list(exported) == [JointKind.NECK, JointKind.HIP, JointKind.ANKLE]
-    assert exported == ingested.joints
