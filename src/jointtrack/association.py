@@ -19,6 +19,11 @@ matrix) matches tracks to detections one-to-one: pairs farther apart than
 the gate are forbidden, the match count is maximized over allowed pairs
 and the total distance minimized among those matchings.
 
+expected_boxes tests the depth of a whole batch at once (its least
+ankle depth) and builds the per-track too_close mask only when that test
+fails, a NaN depth included, or the batch is empty; the result is the
+same either way.
+
 The Hungarian solve is scipy's linear_sum_assignment. It is loaded once,
 when this module is imported, straight from scipy's compiled module
 scipy.optimize._lsap, so that importing jointtrack does not run
@@ -152,9 +157,14 @@ def expected_boxes(
     """
     ankles = ground.to_camera(means[:, 0:1], means[:, 1:2])
     widths = np.asarray(widths, dtype=float)
-    too_close = ankles[:, 2] <= MIN_ASSOCIATION_DEPTH
-    if too_close.any():
-        ankles, widths = ankles[~too_close], widths[~too_close]
+    # One depth test for the batch; the mask only when it fails (a NaN
+    # depth included), or on an empty batch.
+    if len(ankles) and ankles[:, 2].min() > MIN_ASSOCIATION_DEPTH:
+        too_close = np.zeros(len(ankles), dtype=bool)
+    else:
+        too_close = ankles[:, 2] <= MIN_ASSOCIATION_DEPTH
+        if too_close.any():
+            ankles, widths = ankles[~too_close], widths[~too_close]
     boxes = _pinhole(camera, ankles)  # depth checked above; u_bar, then v gives way to w_bar
     boxes[:, 1] = camera.fx * widths / ankles[:, 2]
     return too_close, boxes
@@ -200,7 +210,8 @@ def _gated_costs(
     """
     exp = np.array(expected, dtype=float)
     det = np.array([(d.u, d.w) for d in detections], dtype=float)
-    dist = np.hypot(exp[:, 0:1] - det[:, 0], exp[:, 1:2] - det[:, 1])
+    diff = exp[:, None, :] - det[None, :, :]  # (du, dw) of every pair, in one call
+    dist = np.hypot(diff[..., 0], diff[..., 1])
     cost = np.where(dist <= gate, dist, FORBIDDEN_COST)
     columns = [int(j) for j in blocked if j in range(len(detections))]
     if columns:

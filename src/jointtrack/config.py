@@ -1,6 +1,7 @@
 """Configuration files: camera setup and run tunables.
 
-Camera config (JSON), parsed once at startup:
+Camera config (JSON), parsed once at startup; a key not shown below is
+an error, and the image size must be integers, which are not rounded:
 
     {
       "fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
@@ -13,7 +14,8 @@ Run config (JSON) carries every tunable with the defaults below; a fitted
 prior model may be embedded under "prior" to skip full-body bootstrapping.
 A key not shown below, at the top level or in "prior", is an error, and
 the lifecycle counters (max_misses, confirm_hits, tentative_max_misses)
-must be integers; they are not rounded:
+must be integers; they are not rounded. Only an absent or null "prior"
+means no prior:
 
     {
       "gate_px": 80.0, "max_misses": 15, "confirm_hits": 3,
@@ -60,6 +62,15 @@ DEFAULT_INITIAL_VELOCITY_SIGMA = 1.0
 T = TypeVar("T")
 
 
+def _image_size(data: Mapping[str, Any], name: str) -> int:
+    """data[name] as an int; by RunConfig's rule for its counters, it must
+    be an int or a numpy integer, not a bool, and nothing rounds it."""
+    value = data[name]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CameraSetup:
     """Camera intrinsics plus its relation to ground and robot frames."""
@@ -70,13 +81,16 @@ class CameraSetup:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CameraSetup":
+        unknown = sorted(data.keys() - _CAMERA_KEYS)
+        if unknown:  # a misspelled key would otherwise leave its default
+            raise ValueError(f"unknown camera key(s): {', '.join(unknown)}")
         camera = CameraModel(
             fx=float(data["fx"]),
             fy=float(data["fy"]),
             cx=float(data["cx"]),
             cy=float(data["cy"]),
-            image_width=int(data["image_width"]),
-            image_height=int(data["image_height"]),
+            image_width=_image_size(data, "image_width"),
+            image_height=_image_size(data, "image_height"),
         )
         tilt = float(data["tilt_rad"])
         ground = ground_plane_from_tilt(float(data["camera_height_m"]), tilt)
@@ -168,7 +182,8 @@ class RunConfig:
                 for name in data.get("use_joints", [k.label for k in JOINT_ORDER])
             ),
             ukf=UkfParams(**ukf_data),
-            prior=PriorModel.from_dict(prior_data) if prior_data else None,
+            # Only an absent key or null means no prior; {} or 0 is an error.
+            prior=None if prior_data is None else PriorModel.from_dict(prior_data),
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -196,6 +211,10 @@ class RunConfig:
         return out
 
 
+_CAMERA_KEYS = frozenset(
+    ("fx", "fy", "cx", "cy", "image_width", "image_height", "camera_height_m", "tilt_rad",
+     "robot_offset_m")
+)
 _RUN_CONFIG_KEYS = frozenset(RunConfig().to_dict()) | {"prior"}
 
 

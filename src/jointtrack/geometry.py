@@ -31,12 +31,14 @@ Robot frame:
 A person standing at ankle point X with a joint at height h above the
 ground has that joint at X + h * N (joint_position), and the joint's
 pixel is its pinhole projection (project_points). This measurement model
-is written only there; the UKF, the prior fit, the expected and coast
-boxes and the simulator call them. project_points is a depth check plus
-an unchecked core, _pinhole: fx * x / z + cx and fy * y / z + cy in three
-numpy calls over coordinate-first views, whose inner loops run over the
-points, not a point's two coordinates. ukf._project_joints and
-association.expected_boxes call the core after their own depth masks,
+is written only there; the prior fit, the expected and coast boxes and
+the simulator call them, and the UKF's ukf._project_joints writes
+GroundPlane.to_camera and joint_position out with the same operations, to
+save calls. project_points is a depth check plus an unchecked core,
+_pinhole: fx * x / z + cx and fy * y / z + cy in three numpy calls over
+coordinate-first views, whose inner loops run over the points, not a
+point's two coordinates. ukf._project_joints and
+association.expected_boxes call the core after their own depth tests,
 which leave nothing for project_points' check. Conversely, a joint pixel
 p with known height h fixes the person's position: the back-projected ray
 r = K^-1 [p;1] is scaled to the plane of height h and the ankle recovered
@@ -334,14 +336,14 @@ def camera_to_robot(point, extrinsics: RobotExtrinsics) -> np.ndarray:
     to the robot convention (x forward, y left, z up), adds the mounting
     offset and drops z.
     """
-    p = np.asarray(point, dtype=float)
+    x, y, z = (float(v) for v in point)
     c, s = math.cos(extrinsics.tilt), math.sin(extrinsics.tilt)
-    # Level frame: x right, y down, z horizontal-forward.
-    x_l = p[0]
-    y_l = c * p[1] + s * p[2]
-    z_l = -s * p[1] + c * p[2]
-    robot = np.array([z_l, -x_l, -y_l]) + extrinsics.offset
-    return robot[:2]
+    # Level frame: x right, y down, z horizontal-forward; on Python floats,
+    # the same IEEE arithmetic as on numpy scalars, without their overhead.
+    y_l = c * y + s * z
+    z_l = -s * y + c * z
+    off_x, off_y, _ = extrinsics.offset.tolist()
+    return np.array([z_l + off_x, -x + off_y])
 
 
 def robot_to_camera(point_robot, extrinsics: RobotExtrinsics) -> np.ndarray:

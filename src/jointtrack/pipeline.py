@@ -41,13 +41,18 @@ order, None for a track without a usable matched measurement (its rows
 come back as given).
 Its stacks become the new states, save that a row whose posterior is not
 finite takes its prediction back; update_batch alone gathers and writes
-back rows. One ukf.track_states call turns the stacks into every live
-track's new TrackState. A track is updated, and counts a hit, exactly when
-it matched a detection with a usable measurement, update_batch reported no
-error for it and its posterior is finite; every other live track counts a
-miss: unmatched, too close for a box, or matched without a usable
-measurement. A detection without a usable joint is never located, so it
-spawns nothing. Every detection neither matched nor spawned is unmatched.
+back rows. The finite check is one test per frame: the Python float sum
+of both stacks is finite only if every value is, and only when it is not
+(a non-finite value, or a sum that overflows) is each row checked. One
+ukf.track_states call turns the stacks into every live track's new
+TrackState, and the target's robot-frame location is computed on Python
+floats, by the same IEEE operations as geometry's numpy code. A track is
+updated, and counts a hit, exactly when it matched a detection with a
+usable measurement, update_batch reported no error for it and its
+posterior is finite; every other live track counts a miss: unmatched, too
+close for a box, or matched without a usable measurement. A detection
+without a usable joint is never located, so it spawns nothing. Every
+detection neither matched nor spawned is unmatched.
 
 Sessions are single-writer state machines: process_frame calls must be
 serialized per session, while distinct sessions are independent. Returned
@@ -309,6 +314,8 @@ class TrackingSession:
         self._last_t: Optional[float] = None
         self._target_prior: Optional[PriorModel] = config.prior
         self._use_joints = frozenset(config.use_joints)
+        # ground.to_camera's (origin, e1, e2) as one float triple per axis.
+        self._lift = tuple(zip(*(v.tolist() for v in ground._basis)))
 
     # -- helpers -----------------------------------------------------------
 
@@ -366,7 +373,9 @@ class TrackingSession:
         return joints.pixels[rows].reshape(-1), kinds
 
     def _robot_location(self, track: _Track) -> np.ndarray:
-        ankle = self.ground.to_camera(track.state.s[0], track.state.s[1])
+        """camera_to_robot of ground.to_camera(x, y), on Python floats."""
+        gx, gy = track.state.s[:2].tolist()
+        ankle = [o + gx * e1 + gy * e2 for o, e1, e2 in self._lift]
         return camera_to_robot(ankle, self.extrinsics)
 
     def _coast_box(self, track: _Track) -> Optional[BoundingBox]:
@@ -448,13 +457,20 @@ class TrackingSession:
             post_s, post_p, errors = update_batch(
                 means, covs, measurements, self.camera, self.ground, priors, self.config.ukf
             )
-            finite = np.isfinite(post_s).all(axis=1) & np.isfinite(post_p).all(axis=(1, 2))
-            if not finite.all():
-                post_s[~finite], post_p[~finite] = means[~finite], covs[~finite]
+            # Every value is finite when the stacks' sum is; Python's float sum
+            # neither warns nor raises, so an overflowing sum only sends the
+            # frame to the row-by-row check.
+            if math.isfinite(sum(post_s.ravel().tolist()) + sum(post_p.ravel().tolist())):
+                finite = [True] * len(active)
+            else:
+                rows_ok = np.isfinite(post_s).all(axis=1) & np.isfinite(post_p).all(axis=(1, 2))
+                if not rows_ok.all():
+                    post_s[~rows_ok], post_p[~rows_ok] = means[~rows_ok], covs[~rows_ok]
+                finite = rows_ok.tolist()
             states = track_states(post_s, post_p)
             # A track is a hit exactly when its matched measurement updated
             # it; every other live track counts a miss.
-            rows = zip(active, states, measurements, errors, finite.tolist())
+            rows = zip(active, states, measurements, errors, finite)
             for track, state, z, error, ok in rows:
                 track.state = state
                 if z is not None and error is None and ok:
@@ -505,7 +521,8 @@ class TrackingSession:
         status = SessionStatus.TRACKING if tracking else SessionStatus.LOST
         if target is None:
             status = SessionStatus.UNINITIALIZED
-        result = FrameResult(
+        result = object.__new__(FrameResult)  # the fields need no check
+        result.__dict__.update(
             timestamp=frame.timestamp,
             status=status,
             target_location=self._robot_location(target) if tracking else None,

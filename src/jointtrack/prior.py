@@ -117,6 +117,8 @@ class PriorModel:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, float]) -> "PriorModel":
+        if not isinstance(data, Mapping):  # such as a run config's "prior": 0
+            raise TypeError(f"prior must be an object, got {data!r}")
         unknown = sorted(data.keys() - _PRIOR_KEYS)
         if unknown:  # a misspelled key would otherwise leave its default
             raise ValueError(f"unknown prior key(s): {', '.join(unknown)}")

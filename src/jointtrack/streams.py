@@ -175,7 +175,9 @@ def detection_frame_from_record(record: Mapping[str, Any], min_confidence: float
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         where = field if index is None else f"detections[{index}].{field}"
         raise MalformedRecordError(f"malformed {where}: {type(exc).__name__}: {exc}") from exc
-    return Frame(timestamp=timestamp, detections=detections, reid_target_hint=hint)
+    frame = object.__new__(Frame)  # a frozen dataclass without checks: set its fields
+    frame.__dict__.update(timestamp=timestamp, detections=detections, reid_target_hint=hint)
+    return frame
 
 
 def result_to_record(result: FrameResult) -> Dict[str, Any]:

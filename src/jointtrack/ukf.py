@@ -37,13 +37,23 @@ What does not change between frames is therefore computed once: the
 sigma-point weights and the measurement noise R of each of the 15
 visible-joint sets once per UkfParams, and a person's four joint heights
 once per PriorModel, as one read-only array indexed by JointKind and as
-the read-only heights of each of the 15 sets (heights_by_joints).
+the read-only heights of each of the 15 sets (heights_by_joints). F, F^T
+and Q are cached per (frame gap, noise level) in a small LRU cache, since
+a stream's gaps take few distinct values. The stacked Cholesky and the
+gain solve call numpy.linalg's own LAPACK gufuncs, resolved at import,
+under the errstate numpy.linalg sets, which skips its argument checks.
+Validity is checked once per batch, and the per-track code runs only
+when that check fails: one depth test (the least ankle and joint depth)
+for a group's sigma points, and one symmetry test (the stack's largest
+P - P^T) in track_states. A NaN fails both tests, and an empty batch
+skips them, so both then take the per-track path; the results are the
+same bytes either way.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +73,6 @@ from .geometry import (
     GroundPlane,
     JointKind,
     _pinhole,
-    joint_position,
     read_only,
 )
 from .prior import PriorModel
@@ -80,6 +89,53 @@ DEFAULT_JOINT_PIXEL_SIGMA = {
 
 COVARIANCE_SYMMETRY_TOL = 1e-9
 CHOLESKY_JITTER = 1e-9
+
+
+def _raise_not_positive_definite(err, flag):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _load_lapack() -> Tuple[Callable, Callable]:
+    """np.linalg.cholesky and np.linalg.solve for stacks of float64
+    matrices, without their Python wrappers.
+
+    Both wrappers check and convert their arguments, then call a LAPACK
+    gufunc of numpy.linalg._umath_linalg under an errstate that turns
+    LAPACK's failure into LinAlgError. The filter passes float64 stacks of
+    square matrices, so the checks and conversions do nothing; the
+    functions returned here make the same gufunc call under the same
+    errstate, and so return the same bits and raise the same error. The
+    gufuncs are resolved once, here; a numpy without them gets the public
+    functions.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        cholesky_lo, solve = _umath_linalg.cholesky_lo, _umath_linalg.solve
+    except (ImportError, AttributeError):
+        return np.linalg.cholesky, np.linalg.solve
+
+    def cholesky(a: np.ndarray) -> np.ndarray:
+        with np.errstate(
+            call=_raise_not_positive_definite, invalid="call",
+            over="ignore", divide="ignore", under="ignore",
+        ):
+            return cholesky_lo(a, signature="d->d")
+
+    def stacked_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        with np.errstate(
+            call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
+        ):
+            return solve(a, b, signature="dd->d")
+
+    return cholesky, stacked_solve
+
+
+_cholesky, _solve = _load_lapack()
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +181,13 @@ def track_states(means: np.ndarray, covs: np.ndarray) -> List[TrackState]:
     if s.ndim != 2 or s.shape[1] != STATE_DIM or p.shape != (len(s), STATE_DIM, STATE_DIM):
         raise ValueError(f"expected (T, 4) means and (T, 4, 4) covs, got {s.shape} and {p.shape}")
     # p - p^T is antisymmetric, so its row max is TrackState's max of |P - P^T|.
-    row_max = (p - p.transpose(0, 2, 1)).max(axis=(1, 2))
-    if any(m > COVARIANCE_SYMMETRY_TOL for m in row_max.tolist()):  # a NaN row max passes
-        raise ValueError("covariance must be symmetric")
+    # Every row passes when the whole stack's max does; otherwise (a NaN
+    # max, or an empty stack) each row is checked on its own.
+    skew = p - p.transpose(0, 2, 1)
+    if not (len(p) and skew.max() <= COVARIANCE_SYMMETRY_TOL):
+        row_max = skew.max(axis=(1, 2))
+        if any(m > COVARIANCE_SYMMETRY_TOL for m in row_max.tolist()):  # a NaN row max passes
+            raise ValueError("covariance must be symmetric")
     s.flags.writeable = False
     p.flags.writeable = False
     states = []
@@ -216,6 +276,17 @@ def process_noise(dt: float, accel_sigma: float) -> np.ndarray:
     return accel_sigma**2 * q
 
 
+@lru_cache(maxsize=32)
+def _motion(dt: float, accel_sigma: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F(dt), its transpose F^T (a view of F) and Q(dt), read-only.
+
+    A stream's frame gaps take few distinct values, so each is built once.
+    A gap whose Q overflows raises, and an exception is not cached.
+    """
+    f = read_only(transition_matrix(dt))
+    return f, f.T, read_only(process_noise(dt, accel_sigma))
+
+
 def predict_batch(
     means: np.ndarray, covs: np.ndarray, dt: float, params: UkfParams
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -238,10 +309,9 @@ def predict_batch(
         raise PredictionOverflowError("prediction over an infinite dt overflows")
     try:
         with np.errstate(over="raise"):
-            f = transition_matrix(dt)
+            f, f_t, q = _motion(dt, params.process_accel_sigma)
             s = (f @ np.asarray(means, dtype=float)[..., None])[..., 0]
-            q = process_noise(dt, params.process_accel_sigma)
-            p = f @ np.asarray(covs, dtype=float) @ f.T + q
+            p = f @ np.asarray(covs, dtype=float) @ f_t + q
             return s, 0.5 * (p + p.swapaxes(-1, -2))
     except (FloatingPointError, OverflowError) as exc:
         raise PredictionOverflowError(f"prediction over dt = {dt} s overflows") from exc
@@ -277,13 +347,20 @@ def _project_joints(
     (n - behind.sum(), k, 2m) for the other tracks, joints in measurement
     order.
     """
-    ankles = ground.to_camera(states[..., 0:1], states[..., 1:2])
-    joints = joint_position(ankles[:, :, None, :], ground, heights[:, None, :])
-    behind = (ankles[..., 2] <= 0).any(axis=1) | (joints[..., 2] <= MIN_PROJECTION_DEPTH).any(
-        axis=(1, 2)
-    )
-    if behind.any():
-        joints = joints[~behind]
+    # ground.to_camera, then joint_position, written out.
+    origin, e1, e2 = ground._basis
+    ankles = origin + states[..., 0:1] * e1 + states[..., 1:2] * e2
+    joints = ankles[:, :, None, :] + heights[:, None, :, None] * ground.normal
+    # One depth test for the batch; the per-track masks only when it fails
+    # (a NaN depth included), or on an empty batch.
+    if joints.size and ankles[..., 2].min() > 0 and joints[..., 2].min() > MIN_PROJECTION_DEPTH:
+        behind = np.zeros(len(states), dtype=bool)
+    else:
+        behind = (ankles[..., 2] <= 0).any(axis=1) | (
+            joints[..., 2] <= MIN_PROJECTION_DEPTH
+        ).any(axis=(1, 2))
+        if behind.any():
+            joints = joints[~behind]
     pixels = _pinhole(camera, joints)  # every joint left is deeper than the limit
     return behind, pixels.reshape(pixels.shape[0], states.shape[1], 2 * heights.shape[1])
 
@@ -331,10 +408,10 @@ def measurement_from_joints(
 def _cholesky_root(scaled: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of one matrix, retried once with jitter."""
     try:
-        return np.linalg.cholesky(scaled)
+        return _cholesky(scaled)
     except np.linalg.LinAlgError:
         try:
-            return np.linalg.cholesky(scaled + CHOLESKY_JITTER * np.eye(STATE_DIM))
+            return _cholesky(scaled + CHOLESKY_JITTER * np.eye(STATE_DIM))
         except np.linalg.LinAlgError as exc:
             raise SigmaPointFailureError("covariance square root failed") from exc
 
@@ -347,7 +424,7 @@ def _sigma_points(
     scaled = (STATE_DIM + params.lam) * covs
     errors: List[Optional[JointTrackError]] = [None] * len(scaled)
     try:
-        roots = np.linalg.cholesky(scaled)
+        roots = _cholesky(scaled)
     except np.linalg.LinAlgError:
         # One stacked factorization fails as a whole; redo it per track so
         # that only the tracks that need jitter get it.
@@ -453,7 +530,7 @@ def update_batch(
         # point 0), so a measurement generated exactly at the mean leaves
         # it fixed; the unscented spread still shapes the gain and
         # covariances.
-        gain = np.linalg.solve(
+        gain = _solve(
             innovation_cov.transpose(0, 2, 1), cross_cov.transpose(0, 2, 1)
         ).transpose(0, 2, 1)
         innovation = np.array([zs[t] for t in live]) - z_sigma[:, 0]

@@ -18,6 +18,13 @@ that puts each kept keypoint in a slot, is checked against the dict of
 kept keypoints it used to build: the same kinds, pixel and confidence
 bits, or the same exception type and message, through ingest of one
 detection and of several.
+
+The kernels test a whole batch at once (its least depth, its largest
+asymmetry) and run the per-track code only when that test fails, and
+prediction caches F and Q per gap. Named inputs fail those tests (an
+empty batch, one track behind the camera, a NaN row beside an asymmetric
+one, a stacked Cholesky that fails) or repeat and alternate gaps, and
+each is checked against the same references.
 """
 
 import struct
@@ -27,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointtrack import ukf
 from jointtrack.association import (
     FORBIDDEN_COST,
     MIN_ASSOCIATION_DEPTH,
@@ -41,6 +49,7 @@ from jointtrack.errors import (
     NonPositiveDepthError,
     NonPositiveDtError,
     ObservationDimensionError,
+    PredictionOverflowError,
     SigmaPointFailureError,
 )
 from jointtrack.geometry import (
@@ -62,6 +71,7 @@ from jointtrack.ukf import (
     TrackState,
     UkfParams,
     _project_joints,
+    _sigma_points,
     measurement_from_joints,
     predict_batch,
     track_states,
@@ -407,6 +417,50 @@ def test_project_joints_mixes_front_behind_and_depth_limit_rows():
     assert behind.tolist() == [False, True, True, False] and pixels.shape == (2, 1, 2)
 
 
+@pytest.mark.parametrize("bad_gy", [-0.5, 0.0, MIN_PROJECTION_DEPTH, MIN_ASSOCIATION_DEPTH, np.nan])
+@pytest.mark.parametrize("position", [0, 1, 3])
+def test_one_track_fails_the_batch_depth_test(bad_gy, position):
+    # One track behind, at a depth limit or at a NaN depth among tracks in
+    # front sends the whole batch to the per-track masks.
+    gys = [3.0, 4.5, 6.0]
+    gys.insert(position, bad_gy)
+    states = np.array([[[0.1, gy, 0.0, 0.0], [0.3, gy, 0.1, 0.0]] for gy in gys])
+    heights = np.array([[0.0, 0.5]] * len(gys))
+    for camera in CAMERAS:
+        assert_same(ref_project_joints, _project_joints, states, heights, camera, LEVEL)
+        assert_same(ref_expected_boxes, expected_boxes, states[:, 0], [0.5] * len(gys), camera, LEVEL)
+
+
+def test_depth_test_results_are_fresh_arrays():
+    # The batch that passes the depth test gets a new writeable mask on
+    # every call, as the per-track masks are.
+    states = np.array([[[0.1, 3.0, 0.0, 0.0]], [[0.2, 5.0, 0.0, 0.0]]])
+    first, _ = _project_joints(states, np.array([[0.0], [0.5]]), CAMERAS[0], LEVEL)
+    second, _ = _project_joints(states, np.array([[0.0], [0.5]]), CAMERAS[0], LEVEL)
+    close_a, _ = expected_boxes(states[:, 0], [0.5, 0.5], CAMERAS[0], LEVEL)
+    close_b, _ = expected_boxes(states[:, 0], [0.5, 0.5], CAMERAS[0], LEVEL)
+    for a, b in ((first, second), (close_a, close_b)):
+        assert a.tolist() == b.tolist() == [False, False]
+        assert a.flags.writeable and not np.shares_memory(a, b)
+
+
+def test_kernels_on_an_empty_batch():
+    # An empty batch has no min or max: it takes the per-track path.
+    empty_s, empty_p = np.empty((0, STATE_DIM)), np.empty((0, STATE_DIM, STATE_DIM))
+    for ground in GROUNDS:
+        for states, heights in [
+            (np.empty((0, 9, STATE_DIM)), np.empty((0, 2))),
+            (np.full((2, 0, STATE_DIM), 3.0), np.full((2, 2), 0.5)),
+            (np.full((2, 9, STATE_DIM), 3.0), np.empty((2, 0))),
+        ]:
+            assert_same(ref_project_joints, _project_joints, states, heights, CAMERAS[0], ground)
+        assert_same(ref_expected_boxes, expected_boxes, empty_s, [], CAMERAS[0], ground)
+        assert_same(ref_update_batch, update_batch, empty_s, empty_p, [], CAMERAS[0], ground, [], PARAMS)
+    assert_same(ref_predict_batch, predict_batch, empty_s, empty_p, 1 / 30, PARAMS)
+    kind, _ = assert_same(ref_track_states, _track_states_fields, empty_s, empty_p)
+    assert kind == "returned"
+
+
 # -- ukf.predict_batch ---------------------------------------------------------
 
 
@@ -421,6 +475,41 @@ def test_predict_batch_matches_reference(tracks, dt, accel):
     covs = np.array([c for _, c in tracks]).reshape(-1, STATE_DIM, STATE_DIM)
     params = UkfParams(process_accel_sigma=accel)
     assert_same(ref_predict_batch, predict_batch, means, covs, dt, params)
+
+
+def test_predict_batch_gap_cache_gives_uncached_bytes():
+    # Repeated, alternating and first-seen gaps, with two noise levels: each
+    # call returns the bytes of the reference, which builds F and Q anew.
+    rng = np.random.default_rng(3)
+    means = rng.normal(size=(3, STATE_DIM))
+    factor = rng.normal(size=(3, STATE_DIM, STATE_DIM))
+    covs = factor @ factor.transpose(0, 2, 1)
+    ukf._motion.cache_clear()
+    gaps = [1 / 30, 1 / 30, 0.05, 1 / 30, 0.05, 0.05, 0.07, 1 / 30, 2.0, 1e-4, 0.07]
+    for params in (PARAMS, UkfParams(process_accel_sigma=0.7)):
+        for dt in gaps:
+            kind, _ = assert_same(ref_predict_batch, predict_batch, means, covs, dt, params)
+            assert kind == "returned"
+    info = ukf._motion.cache_info()
+    assert info.misses == 2 * len(set(gaps)) and info.hits == 2 * (len(gaps) - len(set(gaps)))
+    for f in ukf._motion(1 / 30, 2.0):
+        assert not f.flags.writeable
+
+
+def test_predict_batch_overflow_after_a_cached_gap():
+    means, covs = np.zeros((1, STATE_DIM)), np.eye(STATE_DIM)[None]
+    predict_batch(means, covs, 1 / 30, PARAMS)
+    # Q overflows: raised on every call, never cached.
+    size = ukf._motion.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(PredictionOverflowError):
+            predict_batch(means, covs, 1e100, PARAMS)
+    assert ukf._motion.cache_info().currsize == size
+    # F and Q of the cached gap are finite, but F P F^T overflows.
+    with pytest.raises(PredictionOverflowError):
+        predict_batch(means, np.full((1, STATE_DIM, STATE_DIM), 1e308), 1 / 30, PARAMS)
+    kind, _ = assert_same(ref_predict_batch, predict_batch, means, covs, 1 / 30, PARAMS)
+    assert kind == "returned"
 
 
 # -- ukf.update_batch ----------------------------------------------------------
@@ -484,6 +573,50 @@ def test_update_batch_with_behind_jitter_and_failed_tracks():
     ]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky((STATE_DIM + PARAMS.lam) * covs[2])
+
+
+def test_lapack_calls_raise_as_numpy_linalg():
+    # The gufuncs that np.linalg.cholesky and np.linalg.solve call, under
+    # the same errstate: the same bytes, and LinAlgError where they fail.
+    rng = np.random.default_rng(11)
+    factor = rng.normal(size=(3, STATE_DIM, STATE_DIM))
+    spd = factor @ factor.transpose(0, 2, 1) + np.eye(STATE_DIM)
+    rhs = rng.normal(size=(3, STATE_DIM, 2))
+    assert ukf._cholesky(spd).tobytes() == np.linalg.cholesky(spd).tobytes()
+    assert ukf._solve(spd, rhs).tobytes() == np.linalg.solve(spd, rhs).tobytes()
+    bad = spd.copy()
+    bad[1] = -np.eye(STATE_DIM)
+    singular = spd.copy()
+    singular[2] = 0.0
+    for call, args in [(ukf._cholesky, (bad,)), (np.linalg.cholesky, (bad,)),
+                       (ukf._solve, (singular, rhs)), (np.linalg.solve, (singular, rhs))]:
+        with pytest.raises(np.linalg.LinAlgError):
+            call(*args)
+
+
+def test_lapack_falls_back_to_numpy_linalg(monkeypatch):
+    from numpy.linalg import _umath_linalg
+
+    monkeypatch.delattr(_umath_linalg, "cholesky_lo")
+    assert ukf._load_lapack() == (np.linalg.cholesky, np.linalg.solve)
+
+
+def test_stacked_cholesky_failure_falls_back_per_track():
+    # A batch whose stacked factorization fails is factored track by track:
+    # a semidefinite covariance gets jitter, an indefinite one fails alone.
+    covs = np.array([
+        np.diag([0.3, 0.2, 0.5, 0.4]),
+        np.diag([0.2, 0.3, 0.4, 0.0]),
+        -np.eye(STATE_DIM),
+        np.diag([0.1, 0.4, 0.2, 0.2]),
+    ])
+    means = np.arange(4 * STATE_DIM, dtype=float).reshape(4, STATE_DIM)
+    points, errors = _sigma_points(means, covs, PARAMS)
+    ref_points, ref_errors = ref_sigma_points(means, covs, PARAMS)
+    assert points.tobytes() == ref_points.tobytes()
+    assert [type(e) for e in errors] == [type(e) for e in ref_errors] == [
+        type(None), type(None), SigmaPointFailureError, type(None)
+    ]
 
 
 # -- association.expected_boxes and _gated_costs -------------------------------
@@ -671,6 +804,17 @@ def test_track_states_reject_an_asymmetric_row():
         TrackState(s=np.zeros(4), P=covs[2])
     covs[2, 3, 1] = COVARIANCE_SYMMETRY_TOL  # at the tolerance is symmetric
     assert len(track_states(np.zeros((3, 4)), covs)) == 3
+
+
+@pytest.mark.parametrize("asym", [0.0, COVARIANCE_SYMMETRY_TOL, np.nextafter(COVARIANCE_SYMMETRY_TOL, 1.0), 1.0])
+def test_track_states_nan_row_beside_an_asymmetric_row(asym):
+    # A NaN row makes the stack's max NaN, so every row is checked: the
+    # NaN row passes, and a row beyond the tolerance still raises.
+    covs = np.array([np.eye(STATE_DIM)] * 3)
+    covs[0, 1, 2] = np.nan
+    covs[1, 0, 3] += asym
+    kind, _ = assert_same(ref_track_states, _track_states_fields, np.zeros((3, STATE_DIM)), covs)
+    assert (kind == "raised") == (asym > COVARIANCE_SYMMETRY_TOL)
 
 
 def test_track_states_empty_batch_and_shapes():

@@ -1052,6 +1052,49 @@ class TestNonFiniteMeasurement:
         assert np.all(np.isfinite(after[miss].state.s))
         assert np.trace(after[miss].state.P) > np.trace(before[miss].state.P)
 
+    @pytest.mark.parametrize(
+        "poison, kept",
+        [
+            (lambda s, p: p.__setitem__((1, 3, 3), np.inf), [True, False]),
+            # +inf and -inf in one row: the stacks' sum is NaN.
+            (lambda s, p: s.__setitem__((1, slice(0, 2)), [np.inf, -np.inf]), [True, False]),
+            (lambda s, p: p.__setitem__((0, 2, 2), np.nan), [False, True]),
+            # Finite everywhere, but the sum overflows: every row is kept.
+            (lambda s, p: p.__setitem__(0, np.full((4, 4), 1e308)), [True, True]),
+        ],
+        ids=["inf-value", "inf-and-minus-inf", "nan-row", "overflowing-sum"],
+    )
+    def test_posterior_check_falls_back_to_rows(self, monkeypatch, poison, kept):
+        # The whole-stack check passes only when every value is finite; when
+        # it does not, each row is checked, and it neither warns nor raises.
+        import warnings
+
+        import jointtrack.pipeline as pipeline
+
+        def poisoned_update(means, covs, *rest):
+            s, p, errors = real_update(means, covs, *rest)
+            predicted.append((means.copy(), covs.copy()))
+            poison(s, p)
+            posterior.append((s.copy(), p.copy()))
+            return s, p, errors
+
+        real_update, predicted, posterior = pipeline.update_batch, [], []
+        stream = TestBatchedFrames.stream()
+        session = TrackingSession(SETUP.camera, SETUP.ground, RunConfig(), SETUP.extrinsics)
+        for record in stream[:4]:
+            session.process_frame(detection_frame_from_record(record, 0.3))
+        monkeypatch.setattr(pipeline, "update_batch", poisoned_update)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = session.process_frame(detection_frame_from_record(stream[4], 0.3))
+        (means, covs), (post_s, post_p) = predicted[0], posterior[0]
+        for row, ok in enumerate(kept):
+            track = result.tracks[row]
+            want_s, want_p = (post_s[row], post_p[row]) if ok else (means[row], covs[row])
+            assert track.state.s.tobytes() == want_s.tobytes()
+            assert track.state.P.tobytes() == want_p.tobytes()
+            assert track.misses == (0 if ok else 1)
+
 
 def loop_coast_box(session, track):
     """Reference: the coast box lifting and projecting one joint at a time,

@@ -100,6 +100,32 @@ class TestCameraConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {cause.format(value=value)}$"):
             load_camera_config(path)
 
+    @pytest.mark.parametrize(
+        "data, cause",
+        [
+            ({"robot_offset": [0.2, 0.0, 0.3]}, r"unknown camera key\(s\): robot_offset"),
+            ({"Fx": 1.0, "tilt": 0.1}, r"unknown camera key\(s\): Fx, tilt"),
+            ({"image_width": 640.9}, "image_width must be an integer, got 640.9"),
+            ({"image_width": 640.0}, "image_width must be an integer, got 640.0"),
+            ({"image_height": True}, "image_height must be an integer, got True"),
+            ({"image_height": "480"}, "image_height must be an integer, got '480'"),
+        ],
+        ids=["misspelled-offset", "two-unknown", "fraction", "integral-float", "bool", "string"],
+    )
+    def test_camera_file_with_unknown_key_or_inexact_size_is_a_config_error(self, tmp_path, data, cause):
+        # A misspelled key would otherwise load with its default, and a
+        # fractional image size would be truncated.
+        path = tmp_path / "camera.json"
+        path.write_text(json.dumps({**CAMERA_DICT, **data}))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {cause}$"):
+            load_camera_config(path)
+
+    def test_committed_cameras_load(self):
+        root = Path(__file__).resolve().parents[1]
+        for path in sorted((root / "scenarios").glob("*.json")):
+            camera = json.loads(path.read_text())["camera"]
+            assert CameraSetup.from_dict(camera).camera.image_width == camera["image_width"]
+
     def test_cli_reports_nan_offset_on_one_line(self, tmp_path, capsys):
         camera, dets = tmp_path / "camera.json", tmp_path / "d.jsonl"
         camera.write_text(json.dumps({**CAMERA_DICT, "robot_offset_m": [NAN, 0.0, 0.0]}))
@@ -145,6 +171,10 @@ class TestRunConfig:
         assert config.ukf.alpha == 0.8
         assert config.ukf.joint_pixel_sigma[JointKind.NECK] == 3.0
         assert config.prior == PriorModel(h_neck=1.5, h_hip=1.0, h_knee=0.5, body_width=0.4)
+
+    def test_absent_or_null_prior_is_none(self):
+        assert RunConfig.from_dict({}).prior is None
+        assert RunConfig.from_dict({"prior": None}).prior is None
 
     def test_none_path_gives_defaults(self):
         assert load_run_config(None) == RunConfig()
@@ -233,8 +263,16 @@ class TestRunConfig:
             ({"gate_pixels": 10}, r"unknown run config key\(s\): gate_pixels"),
             ({"gate_px": 10, "ukf_": {}, "Gate_px": 5}, r"unknown run config key\(s\): Gate_px, ukf_"),
             ({"prior": {**PRIOR_DICT, "bodywidth": 0.1}}, r"unknown prior key\(s\): bodywidth"),
+            # Only an absent or null prior means none; an empty or false one
+            # reaches PriorModel.from_dict, which rejects it.
+            ({"prior": {}}, "missing field 'h_neck'"),
+            ({"prior": 0}, "prior must be an object, got 0"),
+            ({"prior": False}, "prior must be an object, got False"),
+            ({"prior": ""}, "prior must be an object, got ''"),
+            ({"prior": []}, r"prior must be an object, got \[\]"),
         ],
-        ids=["top-level", "two-top-level", "prior"],
+        ids=["top-level", "two-top-level", "prior", "prior-empty", "prior-zero", "prior-false",
+             "prior-empty-string", "prior-empty-list"],
     )
     def test_run_config_file_with_unknown_key_is_a_config_error(self, tmp_path, data, cause):
         # A misspelled key would otherwise leave its setting at the default.
